@@ -7,32 +7,43 @@
 package rng
 
 import (
-	"hash/fnv"
 	"math"
 	"math/rand"
 )
 
 // Source is a deterministic random stream. It wraps math/rand with the
 // distribution helpers the TIBFIT simulation needs (Bernoulli trials,
-// Gaussian location noise, uniform placement). A Source is not safe for
-// concurrent use; the simulator is single-threaded by design.
+// Gaussian location noise, uniform placement). Its stream is exactly
+// math/rand.NewSource(seed)'s, seeded lazily (see alfg.go). A Source is
+// not safe for concurrent use; the simulator is single-threaded by design.
 type Source struct {
-	r *rand.Rand
+	r   *rand.Rand
+	src alfg
 }
 
 // New returns a Source seeded with the given seed.
 func New(seed int64) *Source {
-	return &Source{r: rand.New(rand.NewSource(seed))}
+	s := &Source{}
+	s.src.Seed(seed)
+	s.r = rand.New(&s.src)
+	return s
 }
 
 // Split derives an independent child stream from a parent seed and a name.
 // The same (seed, name) pair always yields the same stream, and distinct
-// names yield streams that are uncorrelated for practical purposes.
+// names yield streams that are uncorrelated for practical purposes. The
+// child is seeded with seed XOR the FNV-1a 64-bit hash of name.
 func Split(seed int64, name string) *Source {
-	h := fnv.New64a()
-	// The write to an fnv hash never fails.
-	_, _ = h.Write([]byte(name))
-	return New(seed ^ int64(h.Sum64()))
+	const (
+		fnvOffset64 = 14695981039346656037
+		fnvPrime64  = 1099511628211
+	)
+	h := uint64(fnvOffset64)
+	for i := 0; i < len(name); i++ {
+		h ^= uint64(name[i])
+		h *= fnvPrime64
+	}
+	return New(seed ^ int64(h))
 }
 
 // Split derives a child stream from this source and a name. The child is
