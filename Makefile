@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race test-schedulers conformance vet lint lint-fix bench bench-report bench-check bench-kernel profile figures validate examples fuzz soak serve load serve-smoke clean
+.PHONY: all build test test-race conformance vet lint lint-fix bench bench-report bench-check bench-kernel profile figures validate examples fuzz soak serve load serve-smoke clean
 
 all: build lint test
 
@@ -33,12 +33,6 @@ test-race:
 test-short:
 	$(GO) test -short ./...
 
-# The whole tree under each event-queue implementation (see
-# docs/DETERMINISM.md: runs must be byte-identical under either).
-test-schedulers:
-	TIBFIT_SCHEDULER=heap $(GO) test ./...
-	TIBFIT_SCHEDULER=calendar $(GO) test ./...
-
 # Scheme-conformance harness under the race detector: every registered
 # decision scheme against the trust-bound/isolation/purity/determinism
 # contract, plus per-scheme campaign byte-identity across worker counts
@@ -61,11 +55,11 @@ bench-check:
 	$(GO) run ./cmd/tibfit-bench -quick -out /tmp/tibfit-bench-check.json \
 		-baseline $(BASELINE) -threshold 25
 
-# Just the kernel scheduler matrix: timer-churn populations and the
-# skewed-horizon resize stress, heap vs calendar (see docs/PERFORMANCE.md).
+# Just the kernel scheduler benchmarks: timer-churn populations on the
+# calendar queue vs its heap oracle, and the calendar's skewed-horizon
+# resize stress (see docs/PERFORMANCE.md).
 bench-kernel:
-	$(GO) run ./cmd/tibfit-bench -nocampaign -bench '^kernel/' \
-		-out /tmp/tibfit-bench-kernel.json
+	$(GO) test -run '^$$' -bench 'SchedulerChurn|SkewedHorizon' ./internal/sim/
 
 # CPU+heap profiles of a large tibfit-net run, ready for `go tool pprof`.
 profile:

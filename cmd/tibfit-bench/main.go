@@ -148,16 +148,11 @@ func run(args []string) error {
 	)
 	var sf cli.SchemeFlags
 	sf.Register(fs, experiment.SchemeTIBFIT)
-	var sched cli.SchedulerFlag
-	sched.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	scheme, err := sf.Resolve()
 	if err != nil {
-		return err
-	}
-	if err := sched.Apply(); err != nil {
 		return err
 	}
 
@@ -370,25 +365,6 @@ func suite(scheme string, sf cli.SchemeFlags, quick bool) []benchmark {
 		{"aggregator/location-round", benchLocationRound},
 		{"aggregator/binary-window", benchBinaryWindow},
 		{"radio/send", benchRadioSend},
-	}
-	// The scheduler scale-up matrix: the same churn workload against
-	// growing standing-timer populations, under each event queue, makes
-	// the heap's O(log n) vs the calendar's O(1) crossover visible in the
-	// report; the skewed-horizon workload stresses the calendar's
-	// grow/shrink resize path with a bimodal event horizon.
-	for _, schedName := range sim.Schedulers() {
-		schedName := schedName
-		for _, pop := range []int{1_000, 16_000, 128_000} {
-			pop := pop
-			bms = append(bms, benchmark{
-				fmt.Sprintf("kernel/timer-churn/%dk/%s", pop/1000, schedName),
-				func(b *testing.B) { benchKernelTimerChurnPop(b, pop, schedName) },
-			})
-		}
-		bms = append(bms, benchmark{
-			"kernel/skewed-horizon/" + schedName,
-			func(b *testing.B) { benchKernelSkewedHorizon(b, schedName) },
-		})
 	}
 	for _, name := range decision.Names() {
 		name := name
@@ -697,59 +673,6 @@ func benchKernelTimerChurn(b *testing.B) {
 			tm.Stop()
 		}
 		k.RunAll()
-	}
-}
-
-// benchKernelTimerChurnPop is the population-scaled churn: the same
-// 64-schedule/48-stop/16-dispatch op as kernel/timer-churn, but executed
-// over a standing population of pop long-horizon timers (session
-// timeouts, heartbeat deadlines) that never fires. The churned timers are
-// near-term — the ACK/backoff regime — so on the heap every schedule
-// sifts up past the standing population (log₂ pop levels) and every
-// dispatch sifts back down, while the calendar prices the same ops
-// against one day bucket regardless of pop. That depth-dependence is the
-// O(log n) vs O(1) crossover the matrix makes visible.
-func benchKernelTimerChurnPop(b *testing.B, pop int, schedName string) {
-	k := sim.New(sim.WithScheduler(schedName))
-	for i := 0; i < pop; i++ {
-		k.After(sim.Duration(1e12+float64(i)), func() {})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	timers := make([]*sim.Timer, 64)
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < 64; j++ {
-			timers[j] = k.After(sim.Duration(1+j), func() {})
-		}
-		for j := 0; j < 48; j++ {
-			timers[j].Stop()
-		}
-		for j := 0; j < 16; j++ {
-			k.Step()
-		}
-	}
-}
-
-// benchKernelSkewedHorizon oscillates the population between empty and a
-// bimodal near/far spread each op: the near half fires, the far half is
-// cancelled. On the calendar queue every op forces bucket-count growth,
-// width re-estimation against skewed gaps, and shrink back down — the
-// resize machinery is the measured cost.
-func benchKernelSkewedHorizon(b *testing.B, schedName string) {
-	k := sim.New(sim.WithScheduler(schedName))
-	b.ReportAllocs()
-	b.ResetTimer()
-	far := make([]*sim.Timer, 0, 1024)
-	for i := 0; i < b.N; i++ {
-		far = far[:0]
-		for j := 0; j < 1024; j++ {
-			k.After(sim.Duration(1+j), func() {})
-			far = append(far, k.After(sim.Duration(1e6+float64(j)), func() {}))
-		}
-		k.Run(k.Now().Add(1100))
-		for _, tm := range far {
-			tm.Stop()
-		}
 	}
 }
 

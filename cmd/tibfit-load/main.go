@@ -212,6 +212,9 @@ func run(args []string, out *os.File) error {
 		if pause < 10*time.Millisecond {
 			pause = 10 * time.Millisecond
 		}
+		if left := time.Until(deadline); pause > left {
+			pause = left // a long T_out must not sleep past -timeout
+		}
 		time.Sleep(pause)
 	}
 

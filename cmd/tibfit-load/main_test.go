@@ -38,8 +38,8 @@ func TestRunErrors(t *testing.T) {
 }
 
 // TestRunFlagExactMessages pins the complete user-facing error for each
-// rejected flag value, matching the -scheme/-scheduler error-path
-// contract: the validation layer's message reaches the user verbatim.
+// rejected flag value, matching the -scheme error-path contract: the
+// validation layer's message reaches the user verbatim.
 func TestRunFlagExactMessages(t *testing.T) {
 	tests := []struct {
 		name string
@@ -129,6 +129,33 @@ func TestRunAgainstServer(t *testing.T) {
 		if !bytes.Contains(artifact, []byte(want)) {
 			t.Fatalf("artifact missing %q:\n%s", want, artifact)
 		}
+	}
+}
+
+// TestRunDrainHonorsTimeout pins the drain deadline: with a T_out whose
+// drain pause (2·T_out, here 200 s) dwarfs -timeout, the run still ends
+// within a small multiple of -timeout instead of sleeping out the pause.
+func TestRunDrainHonorsTimeout(t *testing.T) {
+	srv := serve.NewServer(serve.Config{Unit: time.Millisecond})
+	ts := httptest.NewServer(srv.Handler())
+	defer func() { ts.Close(); srv.Close() }()
+
+	const timeout = 200 * time.Millisecond
+	args := []string{
+		"-addr", ts.URL,
+		"-tenants", "1",
+		"-reports", "20",
+		"-nodes", "4",
+		"-tout", "100000",
+		"-timeout", timeout.String(),
+		"-min-decisions", "0",
+	}
+	start := time.Now()
+	if err := run(args, os.Stdout); err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed > 10*timeout {
+		t.Fatalf("run took %v with -timeout %v, want under %v", elapsed, timeout, 10*timeout)
 	}
 }
 

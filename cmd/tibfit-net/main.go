@@ -71,16 +71,11 @@ func run(args []string, out *os.File) error {
 	)
 	var sf cli.SchemeFlags
 	sf.Register(fs, "tibfit")
-	var sched cli.SchedulerFlag
-	sched.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	scheme, err := sf.Resolve()
 	if err != nil {
-		return err
-	}
-	if err := sched.Apply(); err != nil {
 		return err
 	}
 	if *rounds < 1 {

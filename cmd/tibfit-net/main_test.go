@@ -41,8 +41,8 @@ func TestRunErrors(t *testing.T) {
 
 // TestRunFlagExactMessages pins the complete user-facing error for each
 // rejected resilience/chaos flag value, the same contract the -scheme
-// and -scheduler flags carry: the config layer's own message reaches the
-// user unwrapped and unrepaired.
+// flag carries: the config layer's own message reaches the user
+// unwrapped and unrepaired.
 func TestRunFlagExactMessages(t *testing.T) {
 	tests := []struct {
 		name string

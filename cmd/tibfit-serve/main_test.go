@@ -29,9 +29,9 @@ func TestRunErrors(t *testing.T) {
 }
 
 // TestRunFlagExactMessages pins the complete user-facing error for each
-// rejected flag value, the same contract the -scheme and -scheduler
-// flags carry elsewhere: the validation layer's own message reaches the
-// user unwrapped and unrepaired.
+// rejected flag value, the same contract the -scheme flag carries
+// elsewhere: the validation layer's own message reaches the user
+// unwrapped and unrepaired.
 func TestRunFlagExactMessages(t *testing.T) {
 	corrupt := filepath.Join(t.TempDir(), "corrupt.tibs")
 	if err := os.WriteFile(corrupt, []byte("not a sealed snapshot"), 0o644); err != nil {

@@ -61,16 +61,11 @@ func run(args []string) error {
 	)
 	var sf cli.SchemeFlags
 	sf.Register(fs, experiment.SchemeTIBFIT)
-	var sched cli.SchedulerFlag
-	sched.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	scheme, err := sf.Resolve()
 	if err != nil {
-		return err
-	}
-	if err := sched.Apply(); err != nil {
 		return err
 	}
 

@@ -128,7 +128,7 @@ func NewBinary(cfg BinaryConfig, scheme decision.Scheme, clock Clock,
 	for i, id := range members {
 		memberPos[id] = i
 	}
-	return &Binary{
+	b := &Binary{
 		pipeline: pipeline{
 			scheme:   scheme,
 			clock:    clock,
@@ -142,7 +142,9 @@ func NewBinary(cfg BinaryConfig, scheme decision.Scheme, clock Clock,
 		marked:    make([]int, 0, len(members)),
 		scrR:      make([]int, 0, len(cfg.Members)),
 		scrNR:     make([]int, 0, len(cfg.Members)),
-	}, nil
+	}
+	b.expire = b.closeWindow
+	return b, nil
 }
 
 // Windows returns how many aggregation windows have completed.
@@ -157,7 +159,7 @@ func (b *Binary) Deliver(nodeID int) {
 	if b.scheme.Isolated(nodeID) {
 		return // the sink no longer listens to isolated nodes
 	}
-	b.openWindow(b.cfg.Tout, b.closeWindow)
+	b.openWindow(b.cfg.Tout)
 	if pos, ok := b.memberPos[nodeID]; ok && !b.marks[pos] {
 		b.marks[pos] = true
 		b.marked = append(b.marked, pos)

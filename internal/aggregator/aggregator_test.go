@@ -131,6 +131,26 @@ func TestBinaryDuplicateDeliveriesCountOnce(t *testing.T) {
 	}
 }
 
+// TestBinaryDeliverIntoOpenWindowDoesNotAllocate pins the ingest hot
+// path at zero allocations per report once the window is open: the
+// expiry callback is bound at construction, not rebuilt per Deliver.
+func TestBinaryDeliverIntoOpenWindowDoesNotAllocate(t *testing.T) {
+	b, _, kernel, outcomes := newBinaryHarness(t, []int{0, 1, 2, 3, 4})
+	b.Deliver(0) // opens the window
+	node := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		b.Deliver(node % 5)
+		node++
+	})
+	if allocs != 0 {
+		t.Fatalf("Deliver into an open window allocates %.2f objects/report, want 0", allocs)
+	}
+	kernel.RunAll()
+	if len(*outcomes) != 1 || len((*outcomes)[0].Decision.Reporters) != 5 {
+		t.Fatalf("outcomes = %+v, want one window with all 5 reporters", *outcomes)
+	}
+}
+
 func TestBinaryIgnoresIsolatedReporters(t *testing.T) {
 	members := []int{0, 1, 2}
 	kernel := sim.New()

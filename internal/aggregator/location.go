@@ -197,6 +197,7 @@ func NewLocation(cfg LocationConfig, scheme decision.Scheme, clock Clock, pos Po
 		onDecide:  onDecide,
 		clusterer: cfg.Clusterer,
 	}
+	l.expire = l.closeWindow
 	if l.clusterer == nil {
 		l.clusterer = cluster.NewClusterer()
 	}
@@ -231,7 +232,7 @@ func (l *Location) Deliver(nodeID int, off geo.Polar) {
 		l.deliverConcurrent(rep)
 		return
 	}
-	l.openWindow(l.cfg.Tout, l.closeWindow)
+	l.openWindow(l.cfg.Tout)
 	l.pending = append(l.pending, rep)
 }
 

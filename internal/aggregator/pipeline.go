@@ -48,6 +48,10 @@ type pipeline struct {
 	clock    Clock
 	feedback Feedback
 	tr       *trace.Trace
+	// expire closes the open window. The aggregator binds it once at
+	// construction: a method value built per Deliver escapes to the heap
+	// and would cost one allocation per report.
+	expire func()
 
 	windowOpen    bool
 	windowTrigger sim.Time
@@ -65,14 +69,14 @@ func (p *pipeline) Close() { p.closed = true }
 func (p *pipeline) Closed() bool { return p.closed }
 
 // openWindow starts a T_out window at the current time if none is open,
-// scheduling expire at its deadline.
-func (p *pipeline) openWindow(tout sim.Duration, expire func()) {
+// scheduling p.expire at its deadline.
+func (p *pipeline) openWindow(tout sim.Duration) {
 	if p.windowOpen {
 		return
 	}
 	p.windowOpen = true
 	p.windowTrigger = p.clock.Now()
-	p.clock.AfterFunc(tout, expire)
+	p.clock.AfterFunc(tout, p.expire)
 }
 
 // judge commits one verdict to the scheme and relays it to the feedback

@@ -377,6 +377,27 @@ func TestInstanceRejectsUnknownNodeAndClosed(t *testing.T) {
 	}
 }
 
+// TestReportManyIntoOpenWindowDoesNotAllocate pins the serving ingest
+// path at zero allocations per report once the window is open.
+func TestReportManyIntoOpenWindowDoesNotAllocate(t *testing.T) {
+	inst, k := simInstance(t, decision.SchemeTIBFIT, 1, 16)
+	defer inst.Close()
+	batch := members(16)
+	allocs := testing.AllocsPerRun(100, func() {
+		if res := inst.ReportMany(batch); res.Accepted != len(batch) {
+			t.Fatalf("ReportMany = %+v, want all %d accepted", res, len(batch))
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("ReportMany of %d reports into an open window allocates %.2f objects, want 0",
+			len(batch), allocs)
+	}
+	k.RunAll()
+	if got := inst.DecisionCount(); got != 1 {
+		t.Fatalf("DecisionCount() = %d, want 1 window", got)
+	}
+}
+
 // runWindows drives n single-reporter windows through the instance.
 func runWindows(t *testing.T, inst *Instance, k *sim.Kernel, n, reporter int) {
 	t.Helper()

@@ -49,9 +49,6 @@ type ByzantineConfig struct {
 	// Handoff attacks (poisoning, replay) fire at recluster uploads, so
 	// the campaign defaults this to 3 rather than resilience's 0.
 	Reclusters int
-	// Scheduler selects the kernel event queue by name (sim.Schedulers());
-	// empty keeps the process default.
-	Scheduler string
 	// Seed and Runs follow the other experiments: replicate r runs with
 	// Seed+r, and results average over Runs.
 	Seed int64
@@ -93,8 +90,6 @@ func (c ByzantineConfig) Validate() error {
 		return fmt.Errorf("experiment: ByzFraction must be in [0,1], got %v", c.ByzFraction)
 	case c.Reclusters < 0:
 		return fmt.Errorf("experiment: Reclusters must be non-negative, got %d", c.Reclusters)
-	case !sim.ValidScheduler(c.Scheduler):
-		return fmt.Errorf("experiment: unknown scheduler %q", c.Scheduler)
 	}
 	return nil
 }
@@ -153,7 +148,7 @@ func RunByzantine(cfg ByzantineConfig) (ByzantineResult, error) {
 }
 
 func runByzantineOnce(cfg ByzantineConfig, seed int64) (ByzantineResult, error) {
-	kernel := sim.New(sim.WithScheduler(cfg.Scheduler))
+	kernel := sim.New()
 	root := rng.New(seed)
 	tr := trace.New() // counting only; nothing retained
 
@@ -308,7 +303,6 @@ func FigureByzantineResilience(opts FigureOptions) (metrics.Figure, error) {
 		cfg.Quarantine = si > 0
 		cfg.Runs = opts.Runs
 		cfg.Seed = opts.Seed
-		cfg.Scheduler = opts.Scheduler
 		if opts.Events > 0 {
 			cfg.Events = opts.Events
 		}

@@ -18,7 +18,6 @@ func TestByzantineConfigValidate(t *testing.T) {
 		func(c *ByzantineConfig) { c.ByzFraction = 1.5 },
 		func(c *ByzantineConfig) { c.ByzFraction = -0.1 },
 		func(c *ByzantineConfig) { c.Reclusters = -1 },
-		func(c *ByzantineConfig) { c.Scheduler = "nope" },
 	}
 	for i, mutate := range bad {
 		cfg := DefaultByzantine()

@@ -64,10 +64,6 @@ type Exp1Config struct {
 	// Scheme selects a registered decision scheme (internal/decision);
 	// "tibfit" and "baseline" reproduce the paper's comparison.
 	Scheme string
-	// Scheduler selects the kernel event queue by name (sim.Schedulers());
-	// empty keeps the process default. Results are byte-identical under
-	// any scheduler — the knob trades run time only.
-	Scheduler string
 	// LinearTI switches the trust penalty to the linear model — the
 	// ablation for §3's argument that the exponential form is better.
 	LinearTI bool
@@ -124,8 +120,6 @@ func (c Exp1Config) Validate() error {
 		return fmt.Errorf("experiment: FaultyFraction must be in [0,1], got %v", c.FaultyFraction)
 	case !decision.Known(c.Scheme):
 		return fmt.Errorf("experiment: unknown scheme %q", c.Scheme)
-	case !sim.ValidScheduler(c.Scheduler):
-		return fmt.Errorf("experiment: unknown scheduler %q", c.Scheduler)
 	case c.CHFlipProb < 0 || c.CHFlipProb > 1:
 		return fmt.Errorf("experiment: CHFlipProb must be in [0,1], got %v", c.CHFlipProb)
 	case c.ShadowCH && c.Scheme != SchemeTIBFIT:
@@ -193,7 +187,7 @@ func RunExp1(cfg Exp1Config) (Exp1Result, error) {
 }
 
 func runExp1Once(cfg Exp1Config, seed int64) (Exp1Result, error) {
-	kernel := sim.New(sim.WithScheduler(cfg.Scheduler))
+	kernel := sim.New()
 	root := rng.New(seed)
 
 	// Experiment 1 runs a lossless channel: Table 1 sets f_r = NER with

@@ -75,10 +75,6 @@ type Exp2Config struct {
 	// Scheme selects a registered decision scheme (internal/decision);
 	// "tibfit" and "baseline" reproduce the paper's comparison.
 	Scheme string
-	// Scheduler selects the kernel event queue by name (sim.Schedulers());
-	// empty keeps the process default. Results are byte-identical under
-	// any scheduler — the knob trades run time only.
-	Scheduler string
 	// TrustWeightedCentroid enables the extension that declares events at
 	// the trust-weighted average of cluster reports (see
 	// aggregator.LocationConfig).
@@ -159,8 +155,6 @@ func (c Exp2Config) Validate() error {
 		return fmt.Errorf("experiment: Level must be a faulty kind, got %v", c.Level)
 	case !decision.Known(c.Scheme):
 		return fmt.Errorf("experiment: unknown scheme %q", c.Scheme)
-	case !sim.ValidScheduler(c.Scheduler):
-		return fmt.Errorf("experiment: unknown scheduler %q", c.Scheduler)
 	case c.CHTerms < 1:
 		return fmt.Errorf("experiment: CHTerms must be at least 1, got %d", c.CHTerms)
 	}
@@ -253,7 +247,7 @@ type truthEvent struct {
 }
 
 func runExp2Once(cfg Exp2Config, seed int64) (Exp2Result, error) {
-	kernel := sim.New(sim.WithScheduler(cfg.Scheduler))
+	kernel := sim.New()
 	root := rng.New(seed)
 
 	chCfg := radio.DefaultConfig()

@@ -37,9 +37,6 @@ type FieldConfig struct {
 	Spacing float64
 	// Tout is the aggregation window (default 1).
 	Tout float64
-	// Scheduler selects the kernel event queue by name; empty keeps the
-	// process default.
-	Scheduler string
 	// Seed seeds the run's deterministic randomness.
 	Seed int64
 }
@@ -80,8 +77,6 @@ func (c FieldConfig) Validate() error {
 		return fmt.Errorf("experiment: Spacing must be positive, got %v", c.Spacing)
 	case c.Tout <= 0:
 		return fmt.Errorf("experiment: Tout must be positive, got %v", c.Tout)
-	case !sim.ValidScheduler(c.Scheduler):
-		return fmt.Errorf("experiment: unknown scheduler %q", c.Scheduler)
 	}
 	return nil
 }
@@ -104,7 +99,7 @@ func RunField(cfg FieldConfig) (FieldResult, error) {
 		return FieldResult{}, err
 	}
 	cfg = cfg.withDefaults()
-	kernel := sim.New(sim.WithScheduler(cfg.Scheduler))
+	kernel := sim.New()
 	root := rng.New(cfg.Seed)
 	tr := trace.New()
 

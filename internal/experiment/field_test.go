@@ -53,7 +53,6 @@ func TestFieldConfigValidate(t *testing.T) {
 		{"clusters over nodes", func(c *FieldConfig) { c.Clusters = 1 << 30 }},
 		{"no events", func(c *FieldConfig) { c.Events = 0 }},
 		{"negative spacing", func(c *FieldConfig) { c.Spacing = -1 }},
-		{"bad scheduler", func(c *FieldConfig) { c.Scheduler = "nope" }},
 	} {
 		cfg := DefaultField()
 		tc.mut(&cfg)

@@ -56,11 +56,6 @@ type FigureOptions struct {
 	// keeps each figure's default. Figures whose point is a scheme
 	// comparison (4-6, 8, 9) pin their schemes regardless.
 	Scheme string
-	// Scheduler selects the kernel event queue by name (sim.Schedulers())
-	// for every simulated cell. Empty keeps the process default. Figures
-	// are byte-identical under any scheduler — the knob trades run time
-	// only (the regression tests pin this).
-	Scheduler string
 	// Lambda, when positive, overrides the trust decay constant λ of every
 	// simulated cell. Zero keeps each experiment's default.
 	Lambda float64
@@ -119,7 +114,6 @@ func exp1Cell(opts FigureOptions, frac float64) Exp1Config {
 	cfg.FaultyFraction = frac
 	cfg.Runs = opts.Runs
 	cfg.Seed = opts.Seed
-	cfg.Scheduler = opts.Scheduler
 	if opts.Events > 0 {
 		cfg.Events = opts.Events
 	}
@@ -140,7 +134,6 @@ func exp2Cell(opts FigureOptions, frac float64) Exp2Config {
 	cfg.FaultyFraction = frac
 	cfg.Runs = opts.Runs
 	cfg.Seed = opts.Seed
-	cfg.Scheduler = opts.Scheduler
 	if opts.Events > 0 {
 		cfg.Events = opts.Events
 	}
@@ -340,7 +333,6 @@ func decayFigure(id string, sigmaFaulty float64, opts FigureOptions) (metrics.Fi
 		cfg.Events = events
 		cfg.Runs = opts.Runs
 		cfg.Seed = opts.Seed
-		cfg.Scheduler = opts.Scheduler
 		res, err := RunExp2(cfg)
 		if err != nil {
 			return nil, err
@@ -495,7 +487,6 @@ func FigureReliability(opts FigureOptions) (metrics.Figure, error) {
 	cfg.FaultyFraction = 0.7
 	cfg.Runs = opts.Runs * 3 // windowed curves need extra smoothing
 	cfg.Seed = opts.Seed
-	cfg.Scheduler = opts.Scheduler
 	if opts.Events > 0 {
 		cfg.Events = opts.Events
 	}
@@ -571,7 +562,6 @@ func FigureSweepLambda(opts FigureOptions) (metrics.Figure, error) {
 	base.FaultyFraction = 0.5
 	base.Runs = opts.Runs
 	base.Seed = opts.Seed
-	base.Scheduler = opts.Scheduler
 	if opts.Events > 0 {
 		base.Events = opts.Events
 	}

@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
-
-	"github.com/tibfit/tibfit/internal/sim"
 )
 
 // The golden figures pin the default scheme's outputs byte-for-byte: the
@@ -20,13 +18,15 @@ import (
 //	    -only figure2,figure8
 //	cp /tmp/g/figure{2,8}.csv internal/experiment/testdata/golden-...
 //
-// Each golden is checked under every event-queue implementation and at
-// several -parallel worker counts: the CSVs were captured on the heap
-// scheduler with one worker, so the calendar queue and the parallel
-// sweep reproducing them byte-for-byte is the end-to-end proof of the
-// (time, seq) dispatch contract — now routed through the aggregator's
-// Clock seam (internal/engine), so this is also the refactor's
-// byte-identity gate for the batch path.
+// Each golden is checked at several -parallel worker counts. The CSVs
+// were captured on the binary-heap event queue with one worker; the
+// kernel now runs only the calendar queue, and the differential tests in
+// internal/sim tie the calendar's dispatch order to that heap, now kept
+// as their test oracle. The calendar and the parallel sweep reproducing
+// the heap-era bytes is the end-to-end proof of the (time, seq) dispatch
+// contract — routed through the aggregator's Clock seam
+// (internal/engine), so this is also the byte-identity gate for the
+// batch path. The subtest names keep the queue they run on.
 func TestGoldenFigures(t *testing.T) {
 	parallels := []int{1, 2, runtime.GOMAXPROCS(0)}
 	for _, tc := range []struct {
@@ -40,20 +40,18 @@ func TestGoldenFigures(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, sched := range sim.Schedulers() {
-			for _, par := range parallels {
-				t.Run(fmt.Sprintf("%s/%s/parallel-%d", tc.id, sched, par), func(t *testing.T) {
-					opts := FigureOptions{Runs: 2, Events: 40, Seed: 5, Parallel: par, Scheduler: sched}
-					fig, err := Generate(tc.id, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got := fig.CSV(); got != string(want) {
-						t.Errorf("%s (%s, parallel %d) drifted from the pre-refactor golden output:\ngot:\n%s\nwant:\n%s",
-							tc.id, sched, par, got, want)
-					}
-				})
-			}
+		for _, par := range parallels {
+			t.Run(fmt.Sprintf("%s/calendar/parallel-%d", tc.id, par), func(t *testing.T) {
+				opts := FigureOptions{Runs: 2, Events: 40, Seed: 5, Parallel: par}
+				fig, err := Generate(tc.id, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := fig.CSV(); got != string(want) {
+					t.Errorf("%s (parallel %d) drifted from the pre-refactor golden output:\ngot:\n%s\nwant:\n%s",
+						tc.id, par, got, want)
+				}
+			})
 		}
 	}
 }

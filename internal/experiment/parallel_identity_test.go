@@ -4,17 +4,13 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-
-	"github.com/tibfit/tibfit/internal/sim"
 )
 
 // TestFiguresByteIdenticalAcrossWorkerCounts is the campaign-parallelism
-// and scheduler regression gate: for every registered figure, running the
-// campaign sequentially (Parallel: 1) and on a wide pool — under each
-// event-queue implementation — must render to exactly the same bytes. The
-// pool merges cell results in index order and both schedulers honor the
-// (time, seq) dispatch order, so neither worker count nor scheduler may
-// ever be observable in the output.
+// regression gate: for every registered figure, running the campaign
+// sequentially (Parallel: 1) and on a wide pool must render to exactly
+// the same bytes. The pool merges cell results in index order, so the
+// worker count may never be observable in the output.
 func TestFiguresByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	wide := runtime.GOMAXPROCS(0)
 	if wide < 4 {
@@ -24,32 +20,23 @@ func TestFiguresByteIdenticalAcrossWorkerCounts(t *testing.T) {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
-			var golden string
-			for _, sched := range sim.Schedulers() {
-				opts := FigureOptions{Runs: 2, Events: 24, Seed: 17, Scheduler: sched}
+			opts := FigureOptions{Runs: 2, Events: 24, Seed: 17}
 
-				opts.Parallel = 1
-				seq, err := Generate(id, opts)
-				if err != nil {
-					t.Fatalf("sequential %s (%s): %v", id, sched, err)
-				}
-				opts.Parallel = wide
-				par, err := Generate(id, opts)
-				if err != nil {
-					t.Fatalf("parallel(%d) %s (%s): %v", wide, id, sched, err)
-				}
+			opts.Parallel = 1
+			seq, err := Generate(id, opts)
+			if err != nil {
+				t.Fatalf("sequential %s: %v", id, err)
+			}
+			opts.Parallel = wide
+			par, err := Generate(id, opts)
+			if err != nil {
+				t.Fatalf("parallel(%d) %s: %v", wide, id, err)
+			}
 
-				a, b := serializeFigure(seq), serializeFigure(par)
-				if a != b {
-					t.Fatalf("%s (%s): -parallel 1 and -parallel %d rendered different bytes\nseq:\n%s\npar:\n%s",
-						id, sched, wide, a, b)
-				}
-				if golden == "" {
-					golden = a
-				} else if a != golden {
-					t.Fatalf("%s: scheduler %q rendered different bytes than %q\n%s\nvs\n%s",
-						id, sched, sim.Schedulers()[0], a, golden)
-				}
+			a, b := serializeFigure(seq), serializeFigure(par)
+			if a != b {
+				t.Fatalf("%s: -parallel 1 and -parallel %d rendered different bytes\nseq:\n%s\npar:\n%s",
+					id, wide, a, b)
 			}
 		})
 	}

@@ -41,9 +41,6 @@ type ResilienceConfig struct {
 	// retransmission. Off reproduces the paper's implicit model, where a
 	// dead head's cluster stays leaderless until the next recluster.
 	Failover bool
-	// Scheduler selects the kernel event queue by name (sim.Schedulers());
-	// empty keeps the process default.
-	Scheduler string
 	// Reclusters spreads this many LEACH re-elections across the run.
 	// The default is zero, which makes failover the only head recovery —
 	// the contrast the campaign measures. (Nonzero values also age trust:
@@ -92,8 +89,6 @@ func (c ResilienceConfig) Validate() error {
 		return fmt.Errorf("experiment: CrashFraction must be in [0,1], got %v", c.CrashFraction)
 	case c.HeadCrashes < 0:
 		return fmt.Errorf("experiment: HeadCrashes must be non-negative, got %d", c.HeadCrashes)
-	case !sim.ValidScheduler(c.Scheduler):
-		return fmt.Errorf("experiment: unknown scheduler %q", c.Scheduler)
 	}
 	return nil
 }
@@ -148,7 +143,7 @@ func RunResilience(cfg ResilienceConfig) (ResilienceResult, error) {
 }
 
 func runResilienceOnce(cfg ResilienceConfig, seed int64) (ResilienceResult, error) {
-	kernel := sim.New(sim.WithScheduler(cfg.Scheduler))
+	kernel := sim.New()
 	root := rng.New(seed)
 	tr := trace.New() // counting only; nothing retained
 
@@ -280,7 +275,6 @@ func FigureResilience(opts FigureOptions) (metrics.Figure, error) {
 		cfg.Failover = failovers[si]
 		cfg.Runs = opts.Runs
 		cfg.Seed = opts.Seed
-		cfg.Scheduler = opts.Scheduler
 		if opts.Events > 0 {
 			cfg.Events = opts.Events
 		}

@@ -53,9 +53,6 @@ type TrackingConfig struct {
 	ChannelDrop float64
 	// Scheme selects "tibfit" or "baseline".
 	Scheme string
-	// Scheduler selects the kernel event queue by name (sim.Schedulers());
-	// empty keeps the process default.
-	Scheduler string
 	// Seed and Runs as in the other experiments.
 	Seed int64
 	Runs int
@@ -106,8 +103,6 @@ func (c TrackingConfig) Validate() error {
 		return fmt.Errorf("experiment: Level must be a faulty kind")
 	case !decision.Known(c.Scheme):
 		return fmt.Errorf("experiment: unknown scheme %q", c.Scheme)
-	case !sim.ValidScheduler(c.Scheduler):
-		return fmt.Errorf("experiment: unknown scheduler %q", c.Scheduler)
 	}
 	return nil
 }
@@ -158,7 +153,7 @@ func RunTracking(cfg TrackingConfig) (TrackingResult, error) {
 }
 
 func runTrackingOnce(cfg TrackingConfig, seed int64) (TrackingResult, error) {
-	kernel := sim.New(sim.WithScheduler(cfg.Scheduler))
+	kernel := sim.New()
 	root := rng.New(seed)
 
 	chCfg := radio.DefaultConfig()

@@ -31,18 +31,21 @@ func BenchmarkTimerStop(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedulerChurn is the in-package edition of the tibfit-bench
-// scale-up matrix (kernel/timer-churn/<pop>/<scheduler>): near-term
-// ACK/backoff churn over a standing long-horizon population. Run it to
-// see the heap's O(log n) grow with population while the calendar stays
-// flat:
+// BenchmarkSchedulerChurn is the scheduler scale-up matrix: near-term
+// ACK/backoff churn (64 schedules, 48 stops, 16 dispatches per op) over a
+// standing population of long-horizon timers that never fires. On the
+// heap oracle every schedule sifts up past the standing population and
+// every dispatch sifts back down; the calendar prices the same ops
+// against one day bucket regardless of population. Run it to see the
+// heap's O(log n) grow with population while the calendar stays flat —
+// the measurement that made the calendar the kernel's only queue:
 //
-//	go test -bench BenchmarkSchedulerChurn -benchtime 200ms ./internal/sim/
+//	go test -run '^$' -bench 'SchedulerChurn|SkewedHorizon' ./internal/sim/
 func BenchmarkSchedulerChurn(b *testing.B) {
-	for _, name := range Schedulers() {
+	for _, q := range queues {
 		for _, pop := range []int{1_000, 16_000, 128_000} {
-			b.Run(fmt.Sprintf("%s/pop=%d", name, pop), func(b *testing.B) {
-				k := New(WithScheduler(name))
+			b.Run(fmt.Sprintf("%s/pop=%d", q.name, pop), func(b *testing.B) {
+				k := &Kernel{sched: q.new()}
 				for i := 0; i < pop; i++ {
 					k.After(Duration(1e12+float64(i)), func() {})
 				}
@@ -61,6 +64,29 @@ func BenchmarkSchedulerChurn(b *testing.B) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// BenchmarkSkewedHorizon oscillates the population between empty and a
+// bimodal near/far spread each op: the near half fires, the far half is
+// cancelled. Every op forces the calendar's bucket-count growth, width
+// re-estimation against skewed gaps, and shrink back down — the resize
+// machinery is the measured cost.
+func BenchmarkSkewedHorizon(b *testing.B) {
+	k := New()
+	b.ReportAllocs()
+	b.ResetTimer()
+	far := make([]*Timer, 0, 1024)
+	for i := 0; i < b.N; i++ {
+		far = far[:0]
+		for j := 0; j < 1024; j++ {
+			k.After(Duration(1+j), func() {})
+			far = append(far, k.After(Duration(1e6+float64(j)), func() {}))
+		}
+		k.Run(k.Now().Add(1100))
+		for _, tm := range far {
+			tm.Stop()
 		}
 	}
 }

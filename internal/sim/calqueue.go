@@ -14,8 +14,8 @@ import "math"
 // in the queue.
 //
 // Determinism contract: dispatch order is the exact (at, seq) total order
-// the heap produces, so any run is byte-identical under either scheduler.
-// Two properties make that exact rather than approximate:
+// of the binary-heap oracle the differential tests replay against
+// (heap_test.go). Two properties make that exact rather than approximate:
 //
 //   - Every queued event carries its virtual day number ev.vb =
 //     floor(at/width), recomputed under the current width on every (re-)

@@ -18,7 +18,7 @@ func calOf(t *testing.T, k *Kernel) *calQueue {
 // count doubles past 2× occupancy and halves below half occupancy, with a
 // floor at calMinBuckets.
 func TestCalendarGrowsAndShrinksWithPopulation(t *testing.T) {
-	k := New(WithScheduler(SchedulerCalendar))
+	k := New()
 	c := calOf(t, k)
 	if got := len(c.buckets); got != calMinBuckets {
 		t.Fatalf("initial buckets = %d, want %d", got, calMinBuckets)
@@ -55,7 +55,7 @@ func TestCalendarGrowsAndShrinksWithPopulation(t *testing.T) {
 // so the width must survive unchanged (never collapse to zero) and the
 // burst must still dispatch in exact FIFO order.
 func TestCalendarAllSameInstant(t *testing.T) {
-	k := New(WithScheduler(SchedulerCalendar))
+	k := New()
 	c := calOf(t, k)
 	const n = 5000
 	var got []int
@@ -84,7 +84,7 @@ func TestCalendarAllSameInstant(t *testing.T) {
 // empty and the global-minimum search must keep exact time order, with
 // near-term events interleaving correctly as they are added mid-run.
 func TestCalendarFarFutureSparse(t *testing.T) {
-	k := New(WithScheduler(SchedulerCalendar))
+	k := New()
 	var got []float64
 	ats := []Time{3, 1e12, 5e6, 2, 7e9, 4e3, 1e12, 8}
 	for _, at := range ats {
@@ -115,7 +115,7 @@ func TestCalendarFarFutureSparse(t *testing.T) {
 // generation counter keeps the stale handle inert once the record is
 // recycled, and surrounding days are untouched.
 func TestCalendarStopLastEventInBucket(t *testing.T) {
-	k := New(WithScheduler(SchedulerCalendar))
+	k := New()
 	c := calOf(t, k)
 	// Three events in three distinct days under the initial width of 1.
 	a := k.After(0.5, func() {})
@@ -153,7 +153,7 @@ func TestCalendarStopLastEventInBucket(t *testing.T) {
 // head: a dense near-term population plus one far-future straggler must
 // produce a near-term-sized width, not one stretched by the straggler.
 func TestCalendarWidthAdaptsToHeadGaps(t *testing.T) {
-	k := New(WithScheduler(SchedulerCalendar))
+	k := New()
 	c := calOf(t, k)
 	k.After(1e9, func() {}) // straggler
 	for i := 0; i < 2000; i++ {
@@ -175,7 +175,7 @@ func TestCalendarWidthAdaptsToHeadGaps(t *testing.T) {
 // then refills (common between experiment rounds) must keep working with
 // the cursor state left by the last pop.
 func TestCalendarReschedulesAfterDrain(t *testing.T) {
-	k := New(WithScheduler(SchedulerCalendar))
+	k := New()
 	for round := 0; round < 5; round++ {
 		base := k.Now()
 		var got []float64
@@ -202,7 +202,7 @@ func TestCalendarStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test")
 	}
-	k := New(WithScheduler(SchedulerCalendar))
+	k := New()
 	const n = 500_000
 	fired := 0
 	var timers []*Timer

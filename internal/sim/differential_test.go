@@ -40,8 +40,7 @@ func genOps(seed int64, n int) []schedOp {
 
 // replay drives one kernel through the op list, recording every dispatch
 // (by schedule serial) and a state fingerprint after every op.
-func replay(name string, ops []schedOp) (dispatch []uint64, states []string) {
-	k := New(WithScheduler(name))
+func replay(k *Kernel, ops []schedOp) (dispatch []uint64, states []string) {
 	var timers []*Timer
 	serial := uint64(0)
 	for _, op := range ops {
@@ -73,20 +72,20 @@ func replay(name string, ops []schedOp) (dispatch []uint64, states []string) {
 	return dispatch, states
 }
 
-// TestSchedulerDifferential is the cross-scheduler determinism harness:
-// seeded random schedule/stop/run-until/step sequences must produce the
+// TestSchedulerDifferential is the kernel's determinism harness: seeded
+// random schedule/stop/run-until/step sequences must produce the
 // identical dispatch order and identical Now/Pending/Fired at every step
-// under the heap and the calendar queue. This is the test that pins the
-// (at, seq) total order as a scheduler contract rather than a heap
-// accident.
+// under the calendar queue and the heap oracle (heap_test.go). This is
+// the test that pins the (at, seq) total order as a scheduler contract
+// rather than a heap accident.
 func TestSchedulerDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
 			ops := genOps(seed, 3000)
-			heapDispatch, heapStates := replay(SchedulerHeap, ops)
-			calDispatch, calStates := replay(SchedulerCalendar, ops)
+			heapDispatch, heapStates := replay(&Kernel{sched: newHeapQueue()}, ops)
+			calDispatch, calStates := replay(New(), ops)
 
 			if len(heapDispatch) != len(calDispatch) {
 				t.Fatalf("dispatch count diverged: heap=%d calendar=%d",
@@ -110,10 +109,10 @@ func TestSchedulerDifferential(t *testing.T) {
 
 // TestSchedulerDifferentialNestedScheduling covers handlers that schedule
 // more work mid-dispatch (the dominant pattern in the protocol code:
-// retries, heartbeats, report windows) under both schedulers.
+// retries, heartbeats, report windows) under the calendar queue and the
+// heap oracle.
 func TestSchedulerDifferentialNestedScheduling(t *testing.T) {
-	run := func(name string) []float64 {
-		k := New(WithScheduler(name))
+	run := func(k *Kernel) []float64 {
 		src := rng.New(99)
 		var fired []float64
 		var spawn func(depth int) Handler
@@ -134,8 +133,8 @@ func TestSchedulerDifferentialNestedScheduling(t *testing.T) {
 		k.RunAll()
 		return fired
 	}
-	heapFired := run(SchedulerHeap)
-	calFired := run(SchedulerCalendar)
+	heapFired := run(&Kernel{sched: newHeapQueue()})
+	calFired := run(New())
 	if len(heapFired) != len(calFired) {
 		t.Fatalf("fired count diverged: heap=%d calendar=%d", len(heapFired), len(calFired))
 	}

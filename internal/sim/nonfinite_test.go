@@ -10,12 +10,12 @@ import (
 // against everything, so before the guard existed a NaN time passed the
 // past-time check and poisoned the queue ordering; +Inf would similarly
 // wedge ahead of the End sentinel. Both now fail fast with the wrapped
-// sentinel, under either scheduler.
+// sentinel, on the calendar queue and on the heap oracle alike.
 func TestAtRejectsNonFiniteTimes(t *testing.T) {
-	for _, name := range Schedulers() {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			k := New(WithScheduler(name))
+	for _, q := range queues {
+		q := q
+		t.Run(q.name, func(t *testing.T) {
+			k := &Kernel{sched: q.new()}
 			for _, at := range []Time{Time(math.NaN()), Time(math.Inf(1)), Time(math.Inf(-1))} {
 				tm, err := k.At(at, func() { t.Fatal("non-finite event fired") })
 				if !errors.Is(err, ErrNonFiniteTime) {

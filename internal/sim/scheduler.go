@@ -1,21 +1,15 @@
 package sim
 
-import (
-	"fmt"
-	"os"
-	"strings"
-	"sync"
-)
-
 // scheduler is the event-queue abstraction behind the kernel. The kernel
 // owns event allocation, recycling, and the virtual clock; a scheduler
 // only orders queued events by the (at, seq) total order.
 //
-// Every implementation must honor that total order exactly: two events
-// compare by time first and by scheduling sequence number on ties. A run
-// is required to be byte-identical under any scheduler, so dispatch order
-// is part of the contract, not an implementation detail (see
-// docs/DETERMINISM.md).
+// The calendar queue (calqueue.go) is the kernel's only production
+// implementation. The interface stays so the differential tests can put
+// the binary heap (heap_test.go), their reference oracle, in its place:
+// two events compare by time first and by scheduling sequence number on
+// ties, and dispatch order is part of the contract, not an implementation
+// detail (see docs/DETERMINISM.md).
 //
 // Implementations mark queued events with ev.index >= 0 (the meaning of
 // the index is implementation-private) and must reset it to -1 when the
@@ -34,108 +28,4 @@ type scheduler interface {
 	remove(ev *event)
 	// len reports how many events are queued.
 	len() int
-}
-
-// Scheduler names accepted by New, WithScheduler, the TIBFIT_SCHEDULER
-// environment variable, and the cmd tools' -scheduler flag.
-const (
-	// SchedulerHeap is the binary-heap queue: O(log n) push/pop, no
-	// auxiliary state, the implementation the kernel launched with.
-	SchedulerHeap = "heap"
-	// SchedulerCalendar is the ns-2-style calendar queue: time-bucketed
-	// FIFO rings with adaptive bucket width and count, O(1) amortized
-	// push/pop at large standing-timer populations. The default.
-	SchedulerCalendar = "calendar"
-)
-
-// EnvScheduler is the environment variable consulted for the process-wide
-// default scheduler, so CI can run the whole test suite under either
-// implementation: TIBFIT_SCHEDULER=heap go test ./...
-const EnvScheduler = "TIBFIT_SCHEDULER"
-
-// Schedulers returns the known scheduler names, sorted.
-func Schedulers() []string { return []string{SchedulerCalendar, SchedulerHeap} }
-
-// ValidScheduler reports whether name is a known scheduler name. The
-// empty string is valid and means "the process default".
-func ValidScheduler(name string) bool {
-	return name == "" || name == SchedulerHeap || name == SchedulerCalendar
-}
-
-// ResolveScheduler validates a scheduler name. The empty string resolves
-// to itself, meaning "keep the process default"; unknown names return an
-// error listing the valid ones.
-func ResolveScheduler(name string) (string, error) {
-	if !ValidScheduler(name) {
-		return "", fmt.Errorf("sim: unknown scheduler %q (valid: %s)",
-			name, strings.Join(Schedulers(), ", "))
-	}
-	return name, nil
-}
-
-// defaultSched holds the lazily resolved process-wide default. Guarded by
-// a mutex so SetDefaultScheduler from a main() and kernel construction in
-// tests never race.
-var defaultSched struct {
-	sync.Mutex
-	name string
-}
-
-// DefaultScheduler returns the process-wide default scheduler name: the
-// value installed by SetDefaultScheduler if any, else EnvScheduler from
-// the environment, else the calendar queue. An invalid environment value
-// panics — a typo'd CI matrix leg silently falling back to the default
-// would defeat the point of the matrix.
-func DefaultScheduler() string {
-	defaultSched.Lock()
-	defer defaultSched.Unlock()
-	if defaultSched.name == "" {
-		name := SchedulerCalendar
-		if env := os.Getenv(EnvScheduler); env != "" {
-			if _, err := ResolveScheduler(env); err != nil {
-				panic(fmt.Sprintf("sim: bad %s=%q: %v", EnvScheduler, env, err))
-			}
-			name = env
-		}
-		defaultSched.name = name
-	}
-	return defaultSched.name
-}
-
-// SetDefaultScheduler installs the process-wide default used by kernels
-// constructed without an explicit WithScheduler option. The cmd tools
-// call it once after flag parsing; it overrides EnvScheduler.
-func SetDefaultScheduler(name string) error {
-	if name == "" {
-		return fmt.Errorf("sim: empty scheduler name")
-	}
-	if _, err := ResolveScheduler(name); err != nil {
-		return err
-	}
-	defaultSched.Lock()
-	defaultSched.name = name
-	defaultSched.Unlock()
-	return nil
-}
-
-// newSchedulerImpl constructs the named scheduler. name must already be
-// resolved to a non-empty valid name.
-func newSchedulerImpl(name string) scheduler {
-	switch name {
-	case SchedulerHeap:
-		return newHeapQueue()
-	case SchedulerCalendar:
-		return newCalQueue()
-	}
-	panic(fmt.Sprintf("sim: unknown scheduler %q", name))
-}
-
-// Option configures a Kernel under construction.
-type Option func(*Kernel)
-
-// WithScheduler selects the event-queue implementation by name. The empty
-// string keeps the process default (see DefaultScheduler). New panics on
-// unknown names; CLI layers validate first via ResolveScheduler.
-func WithScheduler(name string) Option {
-	return func(k *Kernel) { k.schedName = name }
 }

@@ -1,19 +1,16 @@
 // Package sim implements the discrete-event simulation kernel that replaces
 // ns-2 as the substrate for the TIBFIT reproduction.
 //
-// The kernel is deliberately minimal and deterministic: a virtual clock, a
-// pluggable event queue with stable FIFO ordering among simultaneous
-// events, and cancellable timers. All model randomness lives in the rng
+// The kernel is deliberately minimal and deterministic: a virtual clock, an
+// event queue with stable FIFO ordering among simultaneous events, and
+// cancellable timers. All model randomness lives in the rng
 // package; the kernel itself is fully deterministic, so a simulation run is
 // a pure function of its configuration and seed.
 //
-// Two event-queue implementations sit behind the scheduler interface: a
-// binary heap (O(log n) per operation) and an ns-2-style calendar queue
-// (O(1) amortized, the default — see calqueue.go). Both honor the exact
-// (time, sequence) total order, so a run is byte-identical under either;
-// selection is per kernel (WithScheduler), per process
-// (SetDefaultScheduler, the cmd tools' -scheduler flag), or per
-// environment (TIBFIT_SCHEDULER, the CI matrix).
+// The event queue is an ns-2-style calendar queue (O(1) amortized per
+// operation — see calqueue.go). It honors the exact (time, sequence)
+// total order, which the differential tests pin against a binary-heap
+// oracle kept in heap_test.go.
 //
 // The kernel is single-threaded. Wireless sensor network simulations at the
 // paper's scale (hundreds of nodes, thousands of events) run in milliseconds
@@ -73,19 +70,15 @@ type Handler func()
 // amortize growth over 256 events at a time.
 const arenaBlock = 256
 
-// initialQueueCap pre-sizes the heap so the first few hundred schedules
-// never reallocate the queue slice.
-const initialQueueCap = 64
-
 // event is a queue entry. seq breaks ties so that events scheduled for the
 // same instant fire in scheduling order (FIFO), which keeps runs stable.
 // Records are reused via the kernel free list; gen increments on every
 // recycle so Timer handles from a previous life cannot touch the new one.
 //
-// index, vb, prev, and next are scheduler-owned: the heap keeps its slot
-// in index; the calendar queue keeps the bucket index there and threads
-// its per-bucket chains through prev/next with the virtual day in vb.
-// index >= 0 iff the event is queued, whichever scheduler holds it.
+// index, vb, prev, and next are scheduler-owned: the calendar queue keeps
+// the bucket index in index and threads its per-bucket chains through
+// prev/next with the virtual day in vb (the test-only heap oracle keeps
+// its slot in index). index >= 0 iff the event is queued.
 type event struct {
 	at    Time
 	seq   uint64
@@ -140,15 +133,14 @@ func (t *Timer) When() Time {
 }
 
 // Kernel is the discrete-event scheduler. The zero value is ready to use
-// (it adopts the process-default event queue on first schedule); New
-// additionally applies options and pre-sizes the queue.
+// (it builds its calendar queue on first schedule); New builds the queue
+// up front.
 type Kernel struct {
-	now       Time
-	seq       uint64
-	sched     scheduler
-	schedName string
-	stopped   bool
-	fired     uint64
+	now     Time
+	seq     uint64
+	sched   scheduler
+	stopped bool
+	fired   uint64
 
 	// free holds recycled event records; arena is the tail of the current
 	// backing block, consumed one record at a time. Records never move, so
@@ -157,39 +149,14 @@ type Kernel struct {
 	arena []event
 }
 
-// New returns a kernel with the clock at zero. Options select the event
-// queue (WithScheduler); without one the process default applies.
-func New(opts ...Option) *Kernel {
-	k := &Kernel{}
-	for _, opt := range opts {
-		opt(k)
-	}
-	k.initScheduler()
-	return k
-}
+// New returns a kernel with the clock at zero.
+func New() *Kernel { return &Kernel{sched: newCalQueue()} }
 
-// initScheduler resolves the kernel's scheduler name (falling back to the
-// process default) and builds the queue. Unknown names panic: they are
-// programmer errors — the CLI layer validates user input first.
+// initScheduler builds the calendar queue on the first schedule into a
+// zero-value Kernel.
 //
 //hot:init
-func (k *Kernel) initScheduler() {
-	if k.schedName == "" {
-		k.schedName = DefaultScheduler()
-	}
-	if _, err := ResolveScheduler(k.schedName); err != nil {
-		panic(err)
-	}
-	k.sched = newSchedulerImpl(k.schedName)
-}
-
-// Scheduler returns the name of the event-queue implementation in use.
-func (k *Kernel) Scheduler() string {
-	if k.sched == nil {
-		return DefaultScheduler()
-	}
-	return k.schedName
-}
+func (k *Kernel) initScheduler() { k.sched = newCalQueue() }
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }

@@ -42,6 +42,43 @@ func TestSimultaneousEventsFireFIFO(t *testing.T) {
 	}
 }
 
+// TestZeroValueKernel pins that a zero-value Kernel needs no constructor:
+// before the first schedule it reports an empty queue and dispatches
+// nothing, and afterwards it builds its queue on demand, stops a timer,
+// and runs the rest in (at, seq) order.
+func TestZeroValueKernel(t *testing.T) {
+	var k Kernel
+	if k.Pending() != 0 || k.Step() || k.Run(End) != 0 {
+		t.Fatal("empty zero-value kernel reported or dispatched work")
+	}
+	var got []int
+	for i, at := range []Time{3, 1, 3, 2, 1} {
+		i := i
+		if _, err := k.At(at, func() { got = append(got, i) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stopped := k.After(2, func() { t.Fatal("stopped timer fired") })
+	if !stopped.Stop() {
+		t.Fatal("Stop failed on a pending timer")
+	}
+	if k.Pending() != 5 {
+		t.Fatalf("Pending() = %d, want 5", k.Pending())
+	}
+	if n := k.RunAll(); n != 5 {
+		t.Fatalf("RunAll dispatched %d events, want 5", n)
+	}
+	want := []int{1, 4, 3, 0, 2}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("dispatch order = %v, want %v", got, want)
+		}
+	}
+	if k.Now() != 3 {
+		t.Fatalf("Now() = %v, want 3", k.Now())
+	}
+}
+
 func TestClockAdvancesToEventTime(t *testing.T) {
 	k := New()
 	k.After(3.5, func() {
