@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race conformance vet lint lint-fix bench bench-report bench-check bench-kernel profile figures validate examples fuzz soak serve load serve-smoke clean
+.PHONY: all build test test-race test-short conformance vet lint lint-fix bench bench-kernel profile figures validate examples fuzz soak serve load serve-smoke clean
 
 all: build lint test
 
@@ -41,19 +41,23 @@ conformance:
 	$(GO) test -race -count=1 ./internal/decision/
 	$(GO) test -race -count=1 -run 'TestScheme' ./internal/experiment/
 
+# The repository benchmark (see perfbench/README.md): every workload at
+# seed 1, untraced and traced, 5 s each. perfbench exits 0 even when a
+# check fails, so the target fails unless each run's last line reports
+# "correct":true. Micro-benchmarks are plain `go test -bench` bodies in
+# each package's bench_test.go.
 bench:
-	$(GO) test -bench=. -benchmem ./...
-
-# Full harness run: benchmark suite + campaign speedup -> BENCH_<date>.json
-# (see docs/PERFORMANCE.md).
-bench-report:
-	$(GO) run ./cmd/tibfit-bench
-
-# Advisory regression check against the committed baseline (CI uses -quick).
-BASELINE ?= $(lastword $(sort $(wildcard BENCH_*.json)))
-bench-check:
-	$(GO) run ./cmd/tibfit-bench -quick -out /tmp/tibfit-bench-check.json \
-		-baseline $(BASELINE) -threshold 25
+	@for w in paper-campaign field-100k serve-ingest serve-decide; do \
+		for t in 0 1; do \
+			echo "== perfbench $$w --trace $$t"; \
+			out=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 5 --trace $$t); \
+			printf '%s\n' "$$out"; \
+			case "$$(printf '%s\n' "$$out" | tail -n 1)" in \
+			*'"correct":true'*) ;; \
+			*) echo "perfbench $$w --trace $$t: run incorrect" >&2; exit 1 ;; \
+			esac; \
+		done; \
+	done
 
 # Just the kernel scheduler benchmarks: timer-churn populations on the
 # calendar queue vs its heap oracle, and the calendar's skewed-horizon

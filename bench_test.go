@@ -12,6 +12,8 @@ package tibfit_test
 // tools regenerate the same artifacts at full scale.
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/tibfit/tibfit"
@@ -68,6 +70,30 @@ func BenchmarkFigure4(b *testing.B) { benchFigure(b, "figure4") }
 func BenchmarkFigure5(b *testing.B) { benchFigure(b, "figure5") }
 func BenchmarkFigure6(b *testing.B) { benchFigure(b, "figure6") }
 func BenchmarkFigure7(b *testing.B) { benchFigure(b, "figure7") }
+
+// BenchmarkFigure4Parallel times one multi-cell figure at campaign
+// worker counts {1, 2, GOMAXPROCS}, deduplicated. The 2-worker case runs
+// even on a single-core host, where it prices the pool's coordination
+// overhead. Output is byte-identical at every width (asserted by the
+// experiment package's tests); this measures wall clock only.
+func BenchmarkFigure4Parallel(b *testing.B) {
+	workers := []int{1}
+	for _, w := range []int{2, runtime.GOMAXPROCS(0)} {
+		if w > workers[len(workers)-1] {
+			workers = append(workers, w)
+		}
+	}
+	for _, w := range workers {
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			opts := tibfit.FigureOptions{Runs: 2, Events: 200, Seed: 1, Parallel: w}
+			for i := 0; i < b.N; i++ {
+				if _, err := tibfit.GenerateFigure("figure4", opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
 
 // Figures 8-9: experiment 3 (decaying network).
 func BenchmarkFigure8(b *testing.B) { benchFigure(b, "figure8") }
@@ -167,42 +193,6 @@ func BenchmarkAblationShadowCH(b *testing.B) {
 			panel.Decide(reporters, silent)
 		}
 	})
-}
-
-// BenchmarkCoreDecide isolates the hot path: one CTI vote plus trust
-// settlement over a 10-node neighborhood.
-func BenchmarkCoreDecide(b *testing.B) {
-	tab := core.MustNewTable(core.Params{Lambda: 0.25, FaultRate: 0.1})
-	reporters := []int{0, 1, 2, 3, 4, 5}
-	silent := []int{6, 7, 8, 9}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		d := core.DecideBinary(tab, reporters, silent)
-		core.Apply(tab, d)
-	}
-}
-
-// BenchmarkClustering isolates the §3.2 K-means heuristic on a realistic
-// report mix (12 tight reports plus 3 outliers).
-func BenchmarkClustering(b *testing.B) {
-	var reports []tibfit.Report
-	for i := 0; i < 12; i++ {
-		reports = append(reports, tibfit.Report{
-			Node: i,
-			Loc:  tibfit.Point{X: 50 + float64(i%4), Y: 50 + float64(i/4)},
-		})
-	}
-	reports = append(reports,
-		tibfit.Report{Node: 12, Loc: tibfit.Point{X: 80, Y: 20}},
-		tibfit.Report{Node: 13, Loc: tibfit.Point{X: 10, Y: 90}},
-		tibfit.Report{Node: 14, Loc: tibfit.Point{X: 30, Y: 70}},
-	)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if got := tibfit.ClusterReports(reports, 5); len(got) == 0 {
-			b.Fatal("no clusters")
-		}
-	}
 }
 
 // BenchmarkAblationWeightedCentroid compares plain center-of-gravity

@@ -55,29 +55,37 @@ func BenchmarkLocationRound(b *testing.B) {
 }
 
 // BenchmarkBinaryWindow measures one binary aggregation window over a
-// 25-member cluster: deliver, expire, vote, settle.
+// 25-member cluster under each registered decision scheme: 18 members
+// deliver, the window expires, the scheme votes and settles trust.
 func BenchmarkBinaryWindow(b *testing.B) {
-	kernel := sim.New()
-	table := core.MustNewTable(core.Params{Lambda: 0.1, FaultRate: 0.05})
 	members := make([]int, 25)
 	for i := range members {
 		members[i] = i
 	}
-	agg, err := NewBinary(
-		BinaryConfig{Tout: 1, Members: members},
-		decision.Adapt(table), kernel, nil, nil, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, id := range members[:18] {
-			agg.Deliver(id)
-		}
-		kernel.RunAll()
-	}
-	if agg.Windows() != b.N {
-		b.Fatalf("windows = %d, want %d", agg.Windows(), b.N)
+	for _, name := range decision.Names() {
+		b.Run(name, func(b *testing.B) {
+			scheme, err := decision.New(name, decision.Params{
+				Trust: core.Params{Lambda: 0.1, FaultRate: 0.05},
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			kernel := sim.New()
+			agg, err := NewBinary(BinaryConfig{Tout: 1, Members: members}, scheme, kernel, nil, nil, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, id := range members[:18] {
+					agg.Deliver(id)
+				}
+				kernel.RunAll()
+			}
+			if agg.Windows() != b.N {
+				b.Fatalf("windows = %d, want %d", agg.Windows(), b.N)
+			}
+		})
 	}
 }

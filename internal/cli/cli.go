@@ -1,8 +1,8 @@
 // Package cli holds the flag plumbing shared by the tibfit command-line
 // tools. Every tool that picks a decision scheme (tibfit-sim, tibfit-net,
-// tibfit-figures, tibfit-bench) installs the same -scheme/-lambda/-fr
-// trio through SchemeFlags, so the flags parse, validate, and
-// "did you mean" identically everywhere.
+// tibfit-figures) installs the same -scheme/-lambda/-fr trio through
+// SchemeFlags, so the flags parse, validate, and "did you mean"
+// identically everywhere.
 package cli
 
 import (

@@ -10,7 +10,9 @@ import (
 
 // BenchmarkClusterScaling measures the §3.2 heuristic over report counts
 // spanning one neighborhood (12) to a whole dense field (200), with a
-// quarter of the reports scattered as outliers.
+// quarter of the reports scattered as outliers. The reused-mix case is
+// the aggregator's regime: one Clusterer, reused across rounds, over 12
+// tight reports plus 3 outliers.
 func BenchmarkClusterScaling(b *testing.B) {
 	for _, n := range []int{12, 50, 200} {
 		n := n
@@ -33,6 +35,28 @@ func BenchmarkClusterScaling(b *testing.B) {
 			}
 		})
 	}
+	b.Run("reused-mix", func(b *testing.B) {
+		reports := make([]Report, 0, 15)
+		for i := 0; i < 12; i++ {
+			reports = append(reports, Report{
+				Node: i,
+				Loc:  geo.Point{X: 50 + float64(i%4), Y: 50 + float64(i/4)},
+			})
+		}
+		reports = append(reports,
+			Report{Node: 12, Loc: geo.Point{X: 80, Y: 20}},
+			Report{Node: 13, Loc: geo.Point{X: 10, Y: 90}},
+			Report{Node: 14, Loc: geo.Point{X: 30, Y: 70}},
+		)
+		cl := NewClusterer()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if got := cl.Cluster(reports, 5); len(got) == 0 {
+				b.Fatal("no clusters")
+			}
+		}
+	})
 }
 
 // BenchmarkCircleSet measures the concurrent-event bookkeeping under a

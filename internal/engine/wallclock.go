@@ -146,6 +146,7 @@ func (w *WallClock) rearmLocked() {
 		delay = 0
 	}
 	if w.timer == nil {
+		//lint:allow hotalloc binds w.fire once, when the clock's one OS timer is first armed
 		w.timer = time.AfterFunc(delay, w.fire)
 		return
 	}

@@ -35,8 +35,9 @@ var HotAlloc = &analysis.Analyzer{
 		"lazily-called one-time setup whose allocations are not per-event.\n" +
 		"Inside hot code the analyzer flags heap-escaping\n" +
 		"composite literals, map and channel allocation, append to a local\n" +
-		"slice made without capacity, boxing into ...interface{}, and any fmt\n" +
-		"call. Deliberate one-time allocations take //lint:allow hotalloc.",
+		"slice made without capacity, boxing into ...interface{}, method values\n" +
+		"used outside call position, and any fmt call. Deliberate one-time\n" +
+		"allocations take //lint:allow hotalloc.",
 	FactTypes: []analysis.Fact{(*registersHandlerFact)(nil)},
 	Run:       runHotAlloc,
 }
@@ -277,8 +278,17 @@ func checkHotBody(pass *analysis.Pass, body *ast.BlockStmt, name, why string) {
 	})
 
 	reported := map[ast.Node]bool{}
+	// called holds the selectors in call position, which Inspect visits
+	// after their CallExpr: x.m() binds nothing, x.m alone does.
+	called := map[ast.Node]bool{}
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch v := n.(type) {
+		case *ast.SelectorExpr:
+			if sel := pass.TypesInfo.Selections[v]; sel != nil && sel.Kind() == types.MethodVal && !called[v] {
+				pass.Reportf(v.Pos(),
+					"method value %s.%s allocates a bound closure in hot path %s (%s); bind it once outside the per-event path",
+					types.ExprString(v.X), v.Sel.Name, name, why)
+			}
 		case *ast.UnaryExpr:
 			if v.Op != token.AND {
 				return true
@@ -302,6 +312,7 @@ func checkHotBody(pass *analysis.Pass, body *ast.BlockStmt, name, why string) {
 					"map literal allocates in hot path %s (%s); preallocate outside the dispatch loop", name, why)
 			}
 		case *ast.CallExpr:
+			called[ast.Unparen(v.Fun)] = true
 			switch {
 			case isBuiltinMake(pass.TypesInfo, v):
 				switch pass.TypesInfo.TypeOf(v).Underlying().(type) {

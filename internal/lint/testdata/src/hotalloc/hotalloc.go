@@ -99,3 +99,32 @@ func cold(id int) *payload {
 	fmt.Println(id)
 	return &payload{id: id}
 }
+
+// window models an aggregator whose expiry callback is one of its own
+// methods.
+type window struct {
+	expire func()
+}
+
+func (w *window) openWindow(tout int, expire func()) {
+	_, _ = tout, expire
+}
+
+func (w *window) closeWindow() {}
+
+// newWindow binds the expiry once, outside any hot path.
+func newWindow() *window {
+	w := &window{}
+	w.expire = w.closeWindow
+	return w
+}
+
+// deliver passes the method value per call: each pass allocates a bound
+// closure. The pre-bound field and a plain call do not.
+//
+//hot:path
+func (w *window) deliver(tout int) {
+	w.openWindow(tout, w.closeWindow) // want `method value w\.closeWindow allocates a bound closure in hot path deliver`
+	w.openWindow(tout, w.expire)
+	w.closeWindow()
+}

@@ -5,10 +5,10 @@
 // wall-clock window pipeline).
 //
 // The package is an http.Handler, not a binary: cmd/tibfit-serve mounts
-// it behind a listener and flags, the serve benchmarks in
-// cmd/tibfit-bench drive it through httptest, and the smoke test in CI
-// exercises the same handler the daemon ships. See docs/SERVING.md for
-// the endpoint reference and latency methodology.
+// it behind a listener and flags, the package benchmarks drive the
+// handler directly, and the smoke test in CI exercises the same handler
+// the daemon ships. See docs/SERVING.md for the endpoint reference and
+// latency methodology.
 package serve
 
 import (
@@ -34,6 +34,12 @@ import (
 // node IDs, far past any sane batch, and snapshots grow linearly in
 // members.
 const maxBodyBytes = 1 << 20
+
+// maxNodes bounds a tenant config's generated population to the most
+// members an explicit members list can carry in one maxBodyBytes body
+// (at least a digit and a comma each), so a small request cannot make
+// the daemon allocate more than a large one can.
+const maxNodes = maxBodyBytes / 2
 
 // DefaultUnit is the wall duration of one virtual time unit when the
 // server config leaves it zero: a millisecond, so tenant T_out values
@@ -61,7 +67,7 @@ type TenantConfig struct {
 	// units (default 100, i.e. 100 ms at the default unit).
 	Tout float64 `json:"tout,omitempty"`
 	// Members is the explicit node population. When empty, Nodes
-	// generates members 0..Nodes-1 (default 16).
+	// generates members 0..Nodes-1 (default 16, at most maxNodes).
 	Members []int `json:"members,omitempty"`
 	Nodes   int   `json:"nodes,omitempty"`
 	// Shards partitions the tenant's members into that many single-writer
@@ -153,11 +159,15 @@ func NewServer(cfg Config) *Server {
 func (s *Server) Unit() time.Duration { return s.unit }
 
 // CreateTenant builds a tenant's engine instance on a fresh wall clock.
-// It fails if the name is invalid, the tenant already exists, or the
-// config is rejected by the engine (unknown scheme, bad parameters).
+// It fails if the name is invalid, Nodes exceeds maxNodes, the tenant
+// already exists, or the config is rejected by the engine (unknown
+// scheme, bad parameters).
 func (s *Server) CreateTenant(name string, cfg TenantConfig) error {
 	if err := cli.ValidateTenant(name); err != nil {
 		return err
+	}
+	if cfg.Nodes > maxNodes {
+		return fmt.Errorf("serve: tenant %q: nodes %d exceeds the limit of %d", name, cfg.Nodes, maxNodes)
 	}
 	cfg = cfg.withDefaults()
 	s.mu.Lock()

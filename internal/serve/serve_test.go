@@ -245,6 +245,18 @@ func TestServeTenantLifecycleAndErrors(t *testing.T) {
 	}
 }
 
+// TestServeRejectsOversizedNodes pins the population bound: a tiny
+// create request naming more nodes than a body-sized members list could
+// carry is a 400, answered before any member slice is allocated.
+func TestServeRejectsOversizedNodes(t *testing.T) {
+	_, ts := testServer(t)
+	cfg := fmt.Sprintf(`{"nodes":%d}`, maxBodyBytes/2+1)
+	status, body := do(t, http.MethodPost, ts.URL+"/v1/tenants/huge", []byte(cfg))
+	if status != http.StatusBadRequest || !strings.Contains(string(body), "exceeds") {
+		t.Fatalf("oversized nodes: HTTP %d: %s, want 400", status, body)
+	}
+}
+
 func TestServeHealthz(t *testing.T) {
 	_, ts := testServer(t)
 	status, body := do(t, http.MethodGet, ts.URL+"/healthz", nil)

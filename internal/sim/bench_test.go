@@ -33,7 +33,9 @@ func BenchmarkTimerStop(b *testing.B) {
 
 // BenchmarkSchedulerChurn is the scheduler scale-up matrix: near-term
 // ACK/backoff churn (64 schedules, 48 stops, 16 dispatches per op) over a
-// standing population of long-horizon timers that never fires. On the
+// standing population of long-horizon timers that never fires. At pop=0
+// the churn runs alone, the reliable report path's timer pattern with
+// nothing else queued. On the
 // heap oracle every schedule sifts up past the standing population and
 // every dispatch sifts back down; the calendar prices the same ops
 // against one day bucket regardless of population. Run it to see the
@@ -43,7 +45,7 @@ func BenchmarkTimerStop(b *testing.B) {
 //	go test -run '^$' -bench 'SchedulerChurn|SkewedHorizon' ./internal/sim/
 func BenchmarkSchedulerChurn(b *testing.B) {
 	for _, q := range queues {
-		for _, pop := range []int{1_000, 16_000, 128_000} {
+		for _, pop := range []int{0, 1_000, 16_000, 128_000} {
 			b.Run(fmt.Sprintf("%s/pop=%d", q.name, pop), func(b *testing.B) {
 				k := &Kernel{sched: q.new()}
 				for i := 0; i < pop; i++ {
