@@ -64,7 +64,7 @@ func TestFacadeSubstrateWalkthrough(t *testing.T) {
 
 	locAgg, err := tibfit.NewLocationAggregator(
 		tibfit.LocationAggregatorConfig{Tout: 1, RError: 5, SenseRadius: 20},
-		table, kernel, tibfit.PosMap{0: {X: 10, Y: 10}}, nil, nil, nil)
+		table, kernel, map[int]tibfit.Point{0: {X: 10, Y: 10}}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,15 +105,13 @@ func TestFacadeNetworkAndMobility(t *testing.T) {
 		t.Fatal("no heads")
 	}
 
-	field := tibfit.NewMobilityField()
 	area := tibfit.NewArea(100, 100)
 	wp, err := tibfit.NewWaypoint(area, tibfit.Point{X: 50, Y: 50}, 1, 2, rand.Split("wp"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	field.Set(0, wp)
-	if _, ok := field.At(0, 10); !ok {
-		t.Fatal("field lookup failed")
+	if p := wp.At(10); !area.Contains(p) {
+		t.Fatalf("waypoint left the area: %v", p)
 	}
 }
 

@@ -23,11 +23,9 @@ package aggregator
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/tibfit/tibfit/internal/core"
 	"github.com/tibfit/tibfit/internal/decision"
-	"github.com/tibfit/tibfit/internal/geo"
 	"github.com/tibfit/tibfit/internal/sim"
 	"github.com/tibfit/tibfit/internal/trace"
 )
@@ -218,33 +216,4 @@ func (b *Binary) closeWindow() {
 	if b.onDecide != nil {
 		b.onDecide(out)
 	}
-}
-
-// Positions exposes the CH's knowledge of cluster-node locations (§2: "the
-// locations of the nodes at a given time are known to the CHs").
-type Positions interface {
-	// Pos returns the node's position and whether the node is known.
-	Pos(nodeID int) (geo.Point, bool)
-	// IDs returns all known node IDs.
-	IDs() []int
-}
-
-// PosMap is a map-backed Positions implementation.
-type PosMap map[int]geo.Point
-
-// Pos implements Positions.
-func (m PosMap) Pos(nodeID int) (geo.Point, bool) {
-	p, ok := m[nodeID]
-	return p, ok
-}
-
-// IDs implements Positions, returning the node IDs in ascending order
-// so callers iterating them stay deterministic.
-func (m PosMap) IDs() []int {
-	out := make([]int, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -5,7 +5,6 @@ import (
 
 	"github.com/tibfit/tibfit/internal/core"
 	"github.com/tibfit/tibfit/internal/decision"
-	"github.com/tibfit/tibfit/internal/geo"
 	"github.com/tibfit/tibfit/internal/sim"
 )
 
@@ -211,20 +210,3 @@ func TestBinaryTrustedMinorityWins(t *testing.T) {
 		t.Fatalf("trusted minority lost: %v", o.Decision)
 	}
 }
-
-func TestPosMap(t *testing.T) {
-	m := PosMap{1: {X: 1}, 2: {X: 2}}
-	if p, ok := m.Pos(1); !ok || p.X != 1 {
-		t.Fatal("Pos lookup failed")
-	}
-	if _, ok := m.Pos(9); ok {
-		t.Fatal("Pos found missing node")
-	}
-	if len(m.IDs()) != 2 {
-		t.Fatalf("IDs = %v", m.IDs())
-	}
-}
-
-var _ Positions = PosMap(nil) // interface compliance
-
-var _ = geo.Point{} // keep geo import for the location tests in this package

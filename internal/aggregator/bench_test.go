@@ -10,8 +10,8 @@ import (
 )
 
 // benchGrid builds a g×g grid of node positions spaced 10 units apart.
-func benchGrid(g int) PosMap {
-	pos := make(PosMap, g*g)
+func benchGrid(g int) map[int]geo.Point {
+	pos := make(map[int]geo.Point, g*g)
 	id := 0
 	for y := 0; y < g; y++ {
 		for x := 0; x < g; x++ {
@@ -23,34 +23,59 @@ func benchGrid(g int) PosMap {
 }
 
 // BenchmarkLocationRound measures one full location aggregation round —
-// deliver reports from a 5×5 grid, close the window, cluster, and vote —
-// the per-event hot path of Experiments 2-3. The scratch-buffer diet
-// shows up in allocs/op here.
+// deliver reports, close the window, cluster, and vote — the per-event
+// hot path of Experiments 2-3. candidates=1 is one event on a 5×5 grid;
+// candidates=4 is the paper-campaign 6×6 grid with one event per 3×3
+// quadrant, so every round votes on four candidates and the per-candidate
+// silent-set scan shows in the row. Each node within the sensing radius of
+// an event reports the nearest one.
 func BenchmarkLocationRound(b *testing.B) {
+	b.Run("candidates=1", func(b *testing.B) {
+		benchLocationRound(b, 5, []geo.Point{{X: 30, Y: 30}})
+	})
+	b.Run("candidates=4", func(b *testing.B) {
+		benchLocationRound(b, 6, []geo.Point{{X: 20, Y: 20}, {X: 50, Y: 20}, {X: 20, Y: 50}, {X: 50, Y: 50}})
+	})
+}
+
+func benchLocationRound(b *testing.B, g int, events []geo.Point) {
+	const senseRadius = 25
 	kernel := sim.New()
 	table := core.MustNewTable(core.Params{Lambda: 0.25, FaultRate: 0.1})
-	pos := benchGrid(5)
+	pos := benchGrid(g)
+	var candidates int
 	agg, err := NewLocation(
-		LocationConfig{Tout: 1, RError: 5, SenseRadius: 25},
-		decision.Adapt(table), kernel, pos, nil, nil, nil)
+		LocationConfig{Tout: 1, RError: 5, SenseRadius: senseRadius},
+		decision.Adapt(table), kernel, pos,
+		func(o LocationOutcome) { candidates += len(o.Candidates) }, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	event := geo.Point{X: 30, Y: 30}
-	ids := pos.IDs()
+	offs := make(map[int]geo.Polar, len(pos))
+	for id, origin := range pos {
+		nearest := events[0]
+		for _, ev := range events[1:] {
+			if origin.Dist(ev) < origin.Dist(nearest) {
+				nearest = ev
+			}
+		}
+		if origin.Dist(nearest) <= senseRadius {
+			offs[id] = geo.ToPolar(origin, nearest)
+		}
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, id := range ids {
-			origin := pos[id]
-			if origin.Dist(event) <= 25 {
-				agg.Deliver(id, geo.ToPolar(origin, event))
+		for id := 0; id < len(pos); id++ {
+			if off, ok := offs[id]; ok {
+				agg.Deliver(id, off)
 			}
 		}
 		kernel.RunAll()
 	}
-	if agg.Rounds() != b.N {
-		b.Fatalf("rounds = %d, want %d", agg.Rounds(), b.N)
+	if agg.Rounds() != b.N || candidates != len(events)*b.N {
+		b.Fatalf("rounds = %d, candidates = %d, want %d and %d",
+			agg.Rounds(), candidates, b.N, len(events)*b.N)
 	}
 }
 

@@ -2,6 +2,7 @@ package aggregator
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/tibfit/tibfit/internal/cluster"
@@ -113,9 +114,15 @@ func (o LocationOutcome) Declared() []geo.Point {
 type Location struct {
 	pipeline
 	cfg       LocationConfig
-	pos       Positions
 	onDecide  func(LocationOutcome)
 	clusterer *cluster.Clusterer
+
+	// ids and pts are the CH's knowledge of node locations (§2: "the
+	// locations of the nodes at a given time are known to the CHs"),
+	// fixed for the aggregator's lifetime: ids ascending, pts[i] the
+	// position of ids[i].
+	ids []int
+	pts []geo.Point
 
 	// Single-window mode state (the window lifecycle itself lives in the
 	// shared pipeline).
@@ -136,8 +143,6 @@ type Location struct {
 // within one round.
 type locScratch struct {
 	seen      map[int]bool // dedupeByNode
-	reported  map[int]bool // decideGroup
-	memberSet map[int]bool // decideCandidate
 	members   []int
 	violators []int
 	silent    []int
@@ -174,10 +179,12 @@ func resetBoolSet(m map[int]bool, sizeHint int) map[int]bool {
 	return m
 }
 
-// NewLocation returns a location aggregator over the given known positions,
-// running the given decision scheme on the given clock (the simulation
-// kernel in batch runs; any other Clock driver online).
-func NewLocation(cfg LocationConfig, scheme decision.Scheme, clock Clock, pos Positions,
+// NewLocation returns a location aggregator over the given known node
+// positions, running the given decision scheme on the given clock (the
+// simulation kernel in batch runs; any other Clock driver online). The
+// positions are copied into the aggregator's own table: later changes to
+// pos do not reach it.
+func NewLocation(cfg LocationConfig, scheme decision.Scheme, clock Clock, pos map[int]geo.Point,
 	onDecide func(LocationOutcome), feedback Feedback, tr *trace.Trace) (*Location, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -193,9 +200,17 @@ func NewLocation(cfg LocationConfig, scheme decision.Scheme, clock Clock, pos Po
 			tr:       tr,
 		},
 		cfg:       cfg,
-		pos:       pos,
 		onDecide:  onDecide,
 		clusterer: cfg.Clusterer,
+		ids:       make([]int, 0, len(pos)),
+		pts:       make([]geo.Point, len(pos)),
+	}
+	for id := range pos {
+		l.ids = append(l.ids, id)
+	}
+	slices.Sort(l.ids)
+	for i, id := range l.ids {
+		l.pts[i] = pos[id]
 	}
 	l.expire = l.closeWindow
 	if l.clusterer == nil {
@@ -210,6 +225,15 @@ func NewLocation(cfg LocationConfig, scheme decision.Scheme, clock Clock, pos Po
 // Rounds returns how many aggregation rounds have completed.
 func (l *Location) Rounds() int { return l.decided }
 
+// position returns the node's known position and whether the node is known.
+func (l *Location) position(nodeID int) (geo.Point, bool) {
+	i, ok := slices.BinarySearch(l.ids, nodeID)
+	if !ok {
+		return geo.Point{}, false
+	}
+	return l.pts[i], true
+}
+
 // Deliver hands the aggregator one location report that survived the
 // channel: the sender and the polar offset it transmitted. The aggregator
 // resolves the offset against the sender's known position (§3.2). Reports
@@ -218,7 +242,7 @@ func (l *Location) Deliver(nodeID int, off geo.Polar) {
 	if l.closed {
 		return
 	}
-	origin, ok := l.pos.Pos(nodeID)
+	origin, ok := l.position(nodeID)
 	if !ok || l.scheme.Isolated(nodeID) {
 		return
 	}
@@ -304,16 +328,10 @@ func (l *Location) decideGroup(reports []cluster.Report, trigger sim.Time) {
 	}
 	sort.Stable(byCTI{clusters, l.scr.ctis})
 
-	l.scr.reported = resetBoolSet(l.scr.reported, len(reports))
-	reported := l.scr.reported
-	for _, r := range reports {
-		reported[r.Node] = true
-	}
-
 	out := LocationOutcome{TriggerTime: trigger, DecideTime: l.clock.Now()}
 	verbose := l.tr.Verbose()
 	for _, ec := range clusters {
-		cand := l.decideCandidate(ec, reported)
+		cand := l.decideCandidate(ec)
 		out.Candidates = append(out.Candidates, cand)
 		if verbose {
 			l.tr.Emit(float64(l.clock.Now()), trace.KindDecision, -1, "%v", cand)
@@ -327,8 +345,10 @@ func (l *Location) decideGroup(reports []cluster.Report, trigger sim.Time) {
 	}
 }
 
-// decideCandidate votes on a single event cluster.
-func (l *Location) decideCandidate(ec cluster.EventCluster, reported map[int]bool) Candidate {
+// decideCandidate votes on a single event cluster. ec.Reports are in
+// ascending node order (cluster.Clusterer builds them so), which keeps the
+// member and violator lists ascending too.
+func (l *Location) decideCandidate(ec cluster.EventCluster) Candidate {
 	cg := ec.Center
 	// A reporter whose own position is beyond r_s + r_error of the
 	// candidate location could not have sensed any event this cluster
@@ -339,7 +359,7 @@ func (l *Location) decideCandidate(ec cluster.EventCluster, reported map[int]boo
 	s := &l.scr
 	s.members, s.violators = s.members[:0], s.violators[:0]
 	for _, rep := range ec.Reports {
-		p, ok := l.pos.Pos(rep.Node)
+		p, ok := l.position(rep.Node)
 		if !ok {
 			continue
 		}
@@ -349,22 +369,18 @@ func (l *Location) decideCandidate(ec cluster.EventCluster, reported map[int]boo
 		}
 		s.members = append(s.members, rep.Node)
 	}
-	s.memberSet = resetBoolSet(s.memberSet, len(s.members))
-	memberSet := s.memberSet
-	for _, id := range s.members {
-		memberSet[id] = true
-	}
-
 	// Event neighbors of the candidate location that are not members of
 	// this cluster vote against it: silence and contradictory reports
-	// both count as "did not confirm this event".
+	// both count as "did not confirm this event". The members are an
+	// ascending subset of l.ids, so one merged pass skips them.
 	s.silent = s.silent[:0]
-	for _, id := range l.pos.IDs() {
-		if memberSet[id] {
+	rest := s.members
+	for i, id := range l.ids {
+		if len(rest) > 0 && rest[0] == id {
+			rest = rest[1:]
 			continue
 		}
-		p, _ := l.pos.Pos(id)
-		if p.Dist(cg) <= l.cfg.SenseRadius {
+		if l.pts[i].Dist(cg) <= l.cfg.SenseRadius {
 			s.silent = append(s.silent, id)
 		}
 	}
@@ -380,12 +396,11 @@ func (l *Location) decideCandidate(ec cluster.EventCluster, reported map[int]boo
 	}
 	loc := cg
 	if l.cfg.TrustWeightedCentroid && dec.Occurred {
-		if w, ok := l.trustWeightedCenter(ec, memberSet); ok {
+		if w, ok := l.trustWeightedCenter(ec, s.members); ok {
 			loc = w
 		}
 	}
 	l.settle(dec)
-	sort.Ints(s.violators)
 	for _, id := range s.violators {
 		l.judge(id, false)
 	}
@@ -461,14 +476,16 @@ func (l *Location) guardedCTI(ec cluster.EventCluster, reporters []int) float64 
 
 // trustWeightedCenter averages the member reports weighted by the
 // reporters' current trust, using pre-settlement weights so this round's
-// verdicts do not feed back into its own location estimate.
-func (l *Location) trustWeightedCenter(ec cluster.EventCluster, members map[int]bool) (geo.Point, bool) {
+// verdicts do not feed back into its own location estimate. members is
+// the ascending subset of ec.Reports' nodes that joined the vote.
+func (l *Location) trustWeightedCenter(ec cluster.EventCluster, members []int) (geo.Point, bool) {
 	s := &l.scr
 	s.pts, s.weights = s.pts[:0], s.weights[:0]
 	for _, rep := range ec.Reports {
-		if !members[rep.Node] {
+		if len(members) == 0 || members[0] != rep.Node {
 			continue
 		}
+		members = members[1:]
 		s.pts = append(s.pts, rep.Loc)
 		s.weights = append(s.weights, l.scheme.Weight(rep.Node))
 	}

@@ -1,12 +1,16 @@
 package aggregator
 
 import (
+	"maps"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/tibfit/tibfit/internal/core"
 	"github.com/tibfit/tibfit/internal/decision"
 	"github.com/tibfit/tibfit/internal/geo"
+	"github.com/tibfit/tibfit/internal/rng"
 	"github.com/tibfit/tibfit/internal/sim"
 )
 
@@ -16,7 +20,7 @@ type locHarness struct {
 	agg      *Location
 	table    *core.Table
 	kernel   *sim.Kernel
-	pos      PosMap
+	pos      map[int]geo.Point
 	outcomes []LocationOutcome
 	verdicts map[int][]bool
 }
@@ -26,7 +30,7 @@ func newLocHarness(t *testing.T, concurrent bool) *locHarness {
 	h := &locHarness{
 		kernel:   sim.New(),
 		table:    core.MustNewTable(testTrustParams()),
-		pos:      make(PosMap),
+		pos:      make(map[int]geo.Point),
 		verdicts: make(map[int][]bool),
 	}
 	id := 0
@@ -57,7 +61,7 @@ func (h *locHarness) report(id int, loc geo.Point) {
 func TestNewLocationValidation(t *testing.T) {
 	kernel := sim.New()
 	table := core.MustNewTable(testTrustParams())
-	pos := PosMap{}
+	pos := map[int]geo.Point{}
 	bad := []LocationConfig{
 		{Tout: 0, RError: 5, SenseRadius: 20},
 		{Tout: 1, RError: 0, SenseRadius: 20},
@@ -193,7 +197,7 @@ func TestLocationIsolatedReporterIgnored(t *testing.T) {
 	kernel := sim.New()
 	table := core.MustNewTable(core.Params{Lambda: 1, FaultRate: 0, RemovalThreshold: 0.5})
 	table.Judge(3, false)
-	pos := PosMap{3: {X: 10, Y: 10}}
+	pos := map[int]geo.Point{3: {X: 10, Y: 10}}
 	var outcomes []LocationOutcome
 	agg, err := NewLocation(LocationConfig{Tout: 1, RError: 5, SenseRadius: 20},
 		decision.Adapt(table), kernel, pos, func(o LocationOutcome) { outcomes = append(outcomes, o) }, nil, nil)
@@ -295,7 +299,7 @@ func TestTrustWeightedCentroidPullsTowardTrusted(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		table.Judge(2, false) // node 2 is heavily distrusted
 	}
-	pos := PosMap{
+	pos := map[int]geo.Point{
 		0: {X: 10, Y: 10},
 		1: {X: 20, Y: 10},
 		2: {X: 15, Y: 20},
@@ -376,6 +380,93 @@ func TestDeclaredCandidatesSeparated(t *testing.T) {
 			if d := cands[i].Loc.Dist(cands[j].Loc); d <= 5 {
 				t.Fatalf("candidates %v and %v only %v apart", cands[i].Loc, cands[j].Loc, d)
 			}
+		}
+	}
+}
+
+// TestLocationSilentSetMatchesScan checks the position table against a
+// brute-force scan of the caller's map on random layouts: every
+// candidate's silent side is the ascending list of known nodes within the
+// sensing radius of the candidate location that are not its reporters.
+// The caller's map is rewritten after NewLocation, so the test also checks
+// that the aggregator decides exactly as a twin built from an untouched
+// copy.
+func TestLocationSilentSetMatchesScan(t *testing.T) {
+	src := rng.New(22)
+	cfg := LocationConfig{Tout: 1, RError: 5, SenseRadius: 20}
+	for trial := 0; trial < 30; trial++ {
+		n := 8 + src.Intn(57)
+		pos := make(map[int]geo.Point, n)
+		for len(pos) < n {
+			pos[src.Intn(500)] = geo.Point{X: src.Uniform(0, 100), Y: src.Uniform(0, 100)}
+		}
+		orig := maps.Clone(pos)
+		ids := make([]int, 0, n)
+		for id := range orig {
+			ids = append(ids, id)
+		}
+		slices.Sort(ids)
+		run := func(pos map[int]geo.Point, mutate bool) []LocationOutcome {
+			kernel := sim.New()
+			var outcomes []LocationOutcome
+			agg, err := NewLocation(cfg, decision.Adapt(core.MustNewTable(testTrustParams())), kernel, pos,
+				func(o LocationOutcome) { outcomes = append(outcomes, o) }, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mutate {
+				for id, p := range pos {
+					if id%2 == 0 {
+						delete(pos, id)
+					} else {
+						pos[id] = geo.Point{X: p.Y + 7, Y: p.X - 3}
+					}
+				}
+				for id := 500; id < 520; id++ {
+					pos[id] = geo.Point{X: 50, Y: 50}
+				}
+			}
+			events := rng.New(int64(trial))
+			for round := 0; round < 3; round++ {
+				evs := make([]geo.Point, 2+events.Intn(3))
+				for i := range evs {
+					evs[i] = geo.Point{X: events.Uniform(0, 100), Y: events.Uniform(0, 100)}
+				}
+				for _, id := range ids {
+					origin := orig[id]
+					claim := evs[events.Intn(len(evs))]
+					if origin.Dist(claim) > cfg.SenseRadius && !events.Bernoulli(0.1) {
+						continue
+					}
+					claim.X += events.Gaussian(0, 1)
+					claim.Y += events.Gaussian(0, 1)
+					agg.Deliver(id, geo.ToPolar(origin, claim))
+				}
+				kernel.RunAll()
+			}
+			return outcomes
+		}
+		got := run(pos, true)
+		if want := run(maps.Clone(orig), false); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: rewriting the caller's map changed decisions:\n got %+v\nwant %+v", trial, got, want)
+		}
+		candidates := 0
+		for _, o := range got {
+			for _, c := range o.Candidates {
+				candidates++
+				var silent []int
+				for _, id := range ids {
+					if !slices.Contains(c.Decision.Reporters, id) && orig[id].Dist(c.Loc) <= cfg.SenseRadius {
+						silent = append(silent, id)
+					}
+				}
+				if !slices.Equal(c.Decision.Silent, silent) {
+					t.Fatalf("trial %d: candidate at %v: silent %v, scan %v", trial, c.Loc, c.Decision.Silent, silent)
+				}
+			}
+		}
+		if candidates < 3 {
+			t.Fatalf("trial %d: only %d candidates", trial, candidates)
 		}
 	}
 }

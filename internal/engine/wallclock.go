@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"sync"
 	"time"
 
@@ -140,11 +141,7 @@ func (w *WallClock) rearmLocked() {
 		// exiting and re-arms then.
 		return
 	}
-	deadline := w.start.Add(time.Duration(float64(w.events[0].at) * float64(w.unit)))
-	delay := deadline.Sub(w.nowFn())
-	if delay < 0 {
-		delay = 0
-	}
+	delay := w.delayLocked()
 	if w.timer == nil {
 		//lint:allow hotalloc binds w.fire once, when the clock's one OS timer is first armed
 		w.timer = time.AfterFunc(delay, w.fire)
@@ -152,6 +149,19 @@ func (w *WallClock) rearmLocked() {
 	}
 	w.timer.Stop()
 	w.timer.Reset(delay)
+}
+
+// delayLocked returns how long until the earliest deadline, never
+// negative. A deadline past what time.Duration holds (a huge tout on a
+// fine unit) saturates at the maximum delay: converting it to a Duration
+// would wrap negative and re-arm the timer at zero forever. Callers hold
+// w.mu and have a non-empty heap.
+func (w *WallClock) delayLocked() time.Duration {
+	offset := float64(w.events[0].at) * float64(w.unit)
+	if !(offset < math.MaxInt64) {
+		return math.MaxInt64
+	}
+	return max(w.start.Add(time.Duration(offset)).Sub(w.nowFn()), 0)
 }
 
 // fire drains every due callback in (deadline, seq) order, then re-arms

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"math"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -189,5 +191,32 @@ func TestWallClockRealTimer(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("timer never fired")
+	}
+}
+
+// TestWallClockFarDeadlineDoesNotSpin schedules a deadline past what
+// time.Duration holds (1e13 virtual ms is about 317 years): the OS timer
+// must arm at the maximum delay, not wrap to a negative delay and re-arm
+// at zero in a loop that burns a core and never runs the callback.
+func TestWallClockFarDeadlineDoesNotSpin(t *testing.T) {
+	w := NewWallClock(time.Millisecond)
+	defer w.Close()
+	var reads atomic.Int64
+	w.mu.Lock()
+	w.nowFn = func() time.Time {
+		reads.Add(1)
+		return time.Now()
+	}
+	w.mu.Unlock()
+	w.AfterFunc(1e13, func() {})
+	time.Sleep(20 * time.Millisecond)
+	if n := reads.Load(); n > 10 {
+		t.Fatalf("clock read %d times in 20 ms: the timer re-arms in a loop", n)
+	}
+	w.mu.Lock()
+	delay := w.delayLocked()
+	w.mu.Unlock()
+	if delay != math.MaxInt64 {
+		t.Fatalf("armed delay = %v, want the maximum Duration", delay)
 	}
 }

@@ -283,7 +283,7 @@ func runExp2Once(cfg Exp2Config, seed int64) (Exp2Result, error) {
 	area := geo.NewRect(cfg.AreaSide, cfg.AreaSide)
 	positions := workload.GridPlacement(area, cfg.Nodes)
 	nodes := make([]*node.Node, cfg.Nodes)
-	posMap := make(aggregator.PosMap, cfg.Nodes)
+	posMap := make(map[int]geo.Point, cfg.Nodes)
 	for i, p := range positions {
 		n, err := node.New(i, p, node.Correct, nodeCfg, root.Split(fmt.Sprintf("node-%d", i)))
 		if err != nil {

@@ -178,7 +178,7 @@ func runTrackingOnce(cfg TrackingConfig, seed int64) (TrackingResult, error) {
 	area := geo.NewRect(cfg.AreaSide, cfg.AreaSide)
 	positions := workload.GridPlacement(area, cfg.Nodes)
 	nodes := make([]*node.Node, cfg.Nodes)
-	posMap := make(aggregator.PosMap, cfg.Nodes)
+	posMap := make(map[int]geo.Point, cfg.Nodes)
 	order := root.Split("compromise").Perm(cfg.Nodes)
 	nFaulty := int(float64(cfg.Nodes)*cfg.FaultyFraction + 0.5)
 	coalition := node.NewCoalition(nodeCfg, cfg.RError, root.Split("coalition"))

@@ -7,15 +7,13 @@
 // (§2), and the location-determination extension is motivated by "a
 // network ... attempting to track a mobile sensor node that is
 // transmitting a signal as it moves throughout the network" (§3.2). This
-// package provides the trajectory models (static, linear with wall
-// bounce, random waypoint) and the time-indexed Positions view the
-// cluster head uses when nodes move.
+// package provides the trajectory models: static, linear with wall
+// bounce, and random waypoint.
 package mobility
 
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"github.com/tibfit/tibfit/internal/geo"
 	"github.com/tibfit/tibfit/internal/rng"
@@ -154,63 +152,3 @@ func (w *Waypoint) At(t float64) geo.Point {
 
 // Legs returns how many trajectory legs have been generated so far.
 func (w *Waypoint) Legs() int { return len(w.legs) }
-
-// Field tracks a population of mobile nodes and exposes the CH-side view:
-// positions at a given decision time (§2's "the CH to estimate the
-// positions of its cluster nodes during decision making").
-type Field struct {
-	models map[int]Model
-}
-
-// NewField returns an empty field.
-func NewField() *Field { return &Field{models: make(map[int]Model)} }
-
-// Set registers (or replaces) a node's mobility model.
-func (f *Field) Set(nodeID int, m Model) { f.models[nodeID] = m }
-
-// At returns the node's position at time t.
-func (f *Field) At(nodeID int, t float64) (geo.Point, bool) {
-	m, ok := f.models[nodeID]
-	if !ok {
-		return geo.Point{}, false
-	}
-	return m.At(t), true
-}
-
-// Snapshot captures every node's position at time t as a plain map —
-// the view a cluster head works from during one decision.
-func (f *Field) Snapshot(t float64) map[int]geo.Point {
-	out := make(map[int]geo.Point, len(f.models))
-	for id, m := range f.models {
-		out[id] = m.At(t)
-	}
-	return out
-}
-
-// IDs returns the registered node IDs in ascending order, so callers
-// iterating them stay deterministic.
-func (f *Field) IDs() []int {
-	out := make([]int, 0, len(f.models))
-	for id := range f.models {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Clock adapts a Field to the aggregator's Positions interface at a
-// caller-controlled time: the experiment advances Now as virtual time
-// progresses, and the cluster head resolves reports against positions as
-// of the decision it is making.
-type Clock struct {
-	Field *Field
-	Now   func() float64
-}
-
-// Pos implements aggregator.Positions.
-func (c Clock) Pos(nodeID int) (geo.Point, bool) {
-	return c.Field.At(nodeID, c.Now())
-}
-
-// IDs implements aggregator.Positions.
-func (c Clock) IDs() []int { return c.Field.IDs() }

@@ -117,38 +117,6 @@ func TestWaypointBeforeZero(t *testing.T) {
 	}
 }
 
-func TestFieldSnapshotAndClock(t *testing.T) {
-	f := NewField()
-	f.Set(1, Static(geo.Point{X: 1, Y: 1}))
-	f.Set(2, Linear{Start: geo.Point{X: 0, Y: 0}, Vel: geo.Point{X: 1, Y: 0}, Area: area})
-
-	snap := f.Snapshot(10)
-	if snap[1] != (geo.Point{X: 1, Y: 1}) || snap[2] != (geo.Point{X: 10, Y: 0}) {
-		t.Fatalf("snapshot = %v", snap)
-	}
-	if len(f.IDs()) != 2 {
-		t.Fatalf("IDs = %v", f.IDs())
-	}
-	if _, ok := f.At(99, 0); ok {
-		t.Fatal("unknown node found")
-	}
-
-	now := 0.0
-	clock := Clock{Field: f, Now: func() float64 { return now }}
-	if p, ok := clock.Pos(2); !ok || p.X != 0 {
-		t.Fatalf("clock at 0 = %v", p)
-	}
-	now = 5
-	if p, _ := clock.Pos(2); p.X != 5 {
-		t.Fatalf("clock at 5 = %v", p)
-	}
-	if len(clock.IDs()) != 2 {
-		t.Fatal("clock IDs wrong")
-	}
-}
-
-// Property: reflect always lands in [lo, hi] and is continuous at the
-// walls (reflect(hi+d) == reflect(hi-d)).
 func TestReflectProperty(t *testing.T) {
 	check := func(x, d float64) bool {
 		if math.IsNaN(x) || math.IsInf(x, 0) {

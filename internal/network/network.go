@@ -569,7 +569,7 @@ func (n *Network) buildCluster(head int, members []int) (*clusterState, error) {
 			st.Restore(snap)
 		}
 	}
-	pos := make(aggregator.PosMap, len(members))
+	pos := make(map[int]geo.Point, len(members))
 	for _, id := range members {
 		pos[id] = n.byID[id].Pos()
 	}

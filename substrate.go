@@ -79,10 +79,6 @@ type (
 	LocationOutcome = aggregator.LocationOutcome
 	// LocationCandidate is the vote result for one event cluster.
 	LocationCandidate = aggregator.Candidate
-	// Positions exposes CH-known node locations.
-	Positions = aggregator.Positions
-	// PosMap is a map-backed Positions implementation.
-	PosMap = aggregator.PosMap
 	// Feedback receives per-node verdicts (the decision broadcast).
 	Feedback = aggregator.Feedback
 )
@@ -95,9 +91,10 @@ func NewBinaryAggregator(cfg BinaryAggregatorConfig, w Weigher, kernel *Kernel,
 	return aggregator.NewBinary(cfg, decision.Adapt(w), kernel, onDecide, fb, tr)
 }
 
-// NewLocationAggregator wires a §3.2/§3.3 aggregator to a kernel.
+// NewLocationAggregator wires a §3.2/§3.3 aggregator to a kernel over the
+// CH-known node positions.
 func NewLocationAggregator(cfg LocationAggregatorConfig, w Weigher, kernel *Kernel,
-	pos Positions, onDecide func(LocationOutcome), fb Feedback, tr *Trace) (*LocationAggregator, error) {
+	pos map[int]Point, onDecide func(LocationOutcome), fb Feedback, tr *Trace) (*LocationAggregator, error) {
 	return aggregator.NewLocation(cfg, decision.Adapt(w), kernel, pos, onDecide, fb, tr)
 }
 
@@ -164,17 +161,12 @@ type (
 	LinearModel = mobility.Linear
 	// WaypointModel is the random-waypoint trajectory.
 	WaypointModel = mobility.Waypoint
-	// MobilityField tracks a population of mobility models.
-	MobilityField = mobility.Field
 )
 
 // NewWaypoint returns a random-waypoint model starting at start.
 func NewWaypoint(area geo.Rect, start Point, minSpeed, maxSpeed float64, src *Rand) (*WaypointModel, error) {
 	return mobility.NewWaypoint(area, start, minSpeed, maxSpeed, src)
 }
-
-// NewMobilityField returns an empty mobility field.
-func NewMobilityField() *MobilityField { return mobility.NewField() }
 
 // NewArea returns the rectangle spanning (0,0) to (w,h).
 func NewArea(w, h float64) geo.Rect { return geo.NewRect(w, h) }
