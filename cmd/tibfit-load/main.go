@@ -234,7 +234,7 @@ func run(args []string, out *os.File) error {
 		reportsPerSec, sent, wall.Seconds(), *workers, *wire)
 	fmt.Fprintf(out, "tibfit-load: request latency p50=%s p99=%s mean=%s\n",
 		time.Duration(summary.P50), time.Duration(summary.P99), time.Duration(summary.Mean))
-	fmt.Fprintf(out, "tibfit-load: server ingest p50=%s p99=%s decision p50=%s p99=%s\n",
+	fmt.Fprintf(out, "tibfit-load: server ingest p50=%s p99=%s decision lag p50=%s p99=%s\n",
 		time.Duration(stats.IngestNS.P50), time.Duration(stats.IngestNS.P99),
 		time.Duration(stats.DecisionNS.P50), time.Duration(stats.DecisionNS.P99))
 

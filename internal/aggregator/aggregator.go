@@ -40,7 +40,9 @@ type Feedback func(node int, correct bool)
 type BinaryOutcome struct {
 	// TriggerTime is the arrival of the report that opened the window.
 	TriggerTime sim.Time
-	// DecideTime is when the window expired and the vote ran.
+	// DecideTime is the window's deadline, TriggerTime + T_out: the
+	// instant the vote is due. It is fixed when the window opens, so it
+	// does not depend on when a clock driver got round to the close.
 	DecideTime sim.Time
 	// Decision is the CTI vote result.
 	Decision core.BinaryDecision
@@ -141,7 +143,7 @@ func NewBinary(cfg BinaryConfig, scheme decision.Scheme, clock Clock,
 		scrR:      make([]int, 0, len(cfg.Members)),
 		scrNR:     make([]int, 0, len(cfg.Members)),
 	}
-	b.expire = b.closeWindow
+	b.expire = b.expireDue
 	return b, nil
 }
 
@@ -169,11 +171,32 @@ func (b *Binary) Deliver(nodeID int) {
 	}
 }
 
-// closeWindow runs the §3.1 vote at T_out expiry.
-func (b *Binary) closeWindow() {
-	if b.closed {
-		return
+// Deadline returns the open window's deadline, trigger + T_out, and
+// whether a window is open at all.
+func (b *Binary) Deadline() (sim.Time, bool) {
+	return b.windowTrigger.Add(b.cfg.Tout), b.windowOpen && !b.closed
+}
+
+// CloseIfDue runs the §3.1 vote if a window is open and its deadline is
+// at or before now, and reports whether it did. A driver that closes
+// windows ahead of their timers (engine.Instance drains due windows on
+// every call) goes through here; the timer armed for a window that is
+// already closed then finds nothing due and does nothing.
+func (b *Binary) CloseIfDue(now sim.Time) bool {
+	deadline, open := b.Deadline()
+	if !open || now < deadline {
+		return false
 	}
+	b.closeWindow(deadline)
+	return true
+}
+
+// expireDue is the window timer's callback: the sim kernel fires it at
+// exactly the deadline, so the window closes there.
+func (b *Binary) expireDue() { b.CloseIfDue(b.clock.Now()) }
+
+// closeWindow runs the §3.1 vote of the open window, due at deadline.
+func (b *Binary) closeWindow(deadline sim.Time) {
 	reporters := b.scrR[:0]
 	silent := b.scrNR[:0]
 	for i, id := range b.cfg.Members {
@@ -199,11 +222,11 @@ func (b *Binary) closeWindow() {
 	b.decided++
 	out := BinaryOutcome{
 		TriggerTime: b.windowTrigger,
-		DecideTime:  b.clock.Now(),
+		DecideTime:  deadline,
 		Decision:    dec,
 	}
 	if b.tr.Verbose() {
-		b.tr.Emit(float64(b.clock.Now()), trace.KindDecision, -1, "%v", dec)
+		b.tr.Emit(float64(deadline), trace.KindDecision, -1, "%v", dec)
 	} else {
 		b.tr.Hit(trace.KindDecision)
 	}

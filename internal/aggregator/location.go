@@ -125,8 +125,13 @@ type Location struct {
 	pts []geo.Point
 
 	// Single-window mode state (the window lifecycle itself lives in the
-	// shared pipeline).
+	// shared pipeline). pending collects the open window's reports; spare
+	// is the buffer the previous round decided, handed back as the next
+	// pending so rounds stop regrowing the slice. Nothing keeps a round's
+	// reports past decideGroup: dedupe works in place and the clusterer
+	// copies them into its own scratch.
 	pending []cluster.Report
+	spare   []cluster.Report
 
 	// Concurrent mode state.
 	circles *cluster.CircleSet
@@ -278,7 +283,7 @@ func (l *Location) deliverConcurrent(rep cluster.Report) {
 // closeWindow ends a single-mode window and decides its reports.
 func (l *Location) closeWindow() {
 	reports := l.pending
-	l.pending = nil
+	l.pending, l.spare = l.spare[:0], reports
 	l.windowOpen = false
 	l.decideGroup(reports, l.windowTrigger)
 }

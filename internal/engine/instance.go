@@ -1,8 +1,11 @@
 package engine
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -68,9 +71,9 @@ type Config struct {
 	// entries once full (pollers that fall further behind miss them).
 	DecisionLog int
 	// OnDecision, when non-nil, observes every decision as it is made.
-	// Calls are serialized by the clock's drain (never concurrent); the
-	// callback must return promptly and must not call back into the
-	// instance.
+	// Calls are serialized by the instance's drain lock (never
+	// concurrent); the callback must return promptly and must not call
+	// back into the instance.
 	OnDecision func(Decision)
 }
 
@@ -78,12 +81,12 @@ type Config struct {
 // decision stream: the aggregator outcome plus a per-instance sequence
 // number pollers resume from.
 type Decision struct {
-	// Seq numbers decisions from 1 in decision order: the (deadline,
-	// seq) order the tenant clock fires window expiries in, across all
-	// shards.
+	// Seq numbers decisions from 1 in decision order: (deadline, window
+	// open order) across all shards.
 	Seq uint64 `json:"seq"`
-	// Trigger and Decided are the window-open and window-expiry times on
-	// the instance's virtual clock.
+	// Trigger and Decided are the window-open time and the window's
+	// deadline (Trigger + T_out) on the instance's virtual clock. Decided
+	// is when the vote was due, not when a drain got to it.
 	Trigger float64 `json:"trigger"`
 	Decided float64 `json:"decided"`
 	// Occurred is the arbitration verdict; CTIFor/CTIAgainst the two
@@ -128,10 +131,17 @@ type BatchResult struct {
 // locations (paper §3: aggregation windows close per location), each a
 // single-writer shard owning its own scheme state, window, and lock.
 // Reports route to their node's shard by binary search and contend only
-// with reports for the same location; window expiries fire through the
-// tenant's one clock, whose single-drain (deadline, seq) order is what
-// fans all shards' decisions into one totally-ordered ring. All methods
-// are safe for concurrent use.
+// with reports for the same location.
+//
+// Windows close when they are due, not when an OS timer wakes: every
+// entry point that touches tenant state first drains each window whose
+// deadline lies strictly before the clock's now, so a report stamped
+// after a deadline opens a new window and a poll after a deadline sees
+// its decision. The clock's timer stays as a backstop for tenants nobody
+// touches and runs the same drain. Drains close windows in (deadline,
+// window-open order) under one lock, which fans all shards' decisions
+// into one totally-ordered ring. All methods are safe for concurrent
+// use.
 type Instance struct {
 	shards  []*shard
 	shardOf sparse.Vector[int32] // member ID -> shard index
@@ -145,9 +155,22 @@ type Instance struct {
 	station         *leach.Station
 	restoredVersion uint64
 
-	// ringMu guards the decision ring. Appends happen only inside clock
-	// drains (windows close only at expiry), which are single-threaded,
-	// so the lock exists for reader visibility, not append ordering.
+	// drainMu serializes window closes. due is the drain's scratch list
+	// of windows to close, guarded by drainMu.
+	drainMu sync.Mutex
+	due     []dueWindow
+	// earliest holds the float64 bits of a lower bound on every open
+	// window's deadline (+Inf when none is open): an entry point whose
+	// now is not past it has nothing to drain and takes no lock. Opening
+	// a window lowers it; only a drain raises it.
+	earliest atomic.Uint64
+	// opens counts window opens across shards: the tiebreak between
+	// coinciding deadlines.
+	opens atomic.Uint64
+
+	// ringMu guards the decision ring. Appends happen only inside drains,
+	// which drainMu serializes, so the lock exists for reader
+	// visibility, not append ordering.
 	ringMu     sync.Mutex
 	log        []Decision
 	seq        uint64
@@ -177,14 +200,17 @@ func New(cfg Config) (*Instance, error) {
 		onDecision: cfg.OnDecision,
 		log:        make([]Decision, 0, logCap),
 	}
+	in.earliest.Store(math.Float64bits(math.Inf(1)))
 	parts := ShardMembers(cfg.Members, cfg.Shards)
 	in.shards = make([]*shard, len(parts))
+	in.due = make([]dueWindow, 0, len(parts))
 	for s, part := range parts {
 		scheme, err := decision.New(cfg.Scheme, cfg.Params)
 		if err != nil {
 			return nil, err
 		}
 		sh := &shard{scheme: scheme, members: part}
+		sh.expire = func() { in.expire(sh) }
 		agg, err := aggregator.NewBinary(aggregator.BinaryConfig{
 			Tout:    cfg.Tout,
 			Members: part,
@@ -203,11 +229,112 @@ func New(cfg Config) (*Instance, error) {
 	return in, nil
 }
 
+// dueWindow is one window a drain closes: its deadline, its window-open
+// number, and its shard.
+type dueWindow struct {
+	at     sim.Time
+	opened uint64
+	shard  int
+}
+
+// cmpDue orders windows by (deadline, window-open order): the order the
+// clock's timers would fire their expiries in.
+func cmpDue(a, b dueWindow) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.opened, b.opened)
+}
+
+// lowerEarliest lowers the earliest-deadline word to deadline if that is
+// earlier.
+func (in *Instance) lowerEarliest(deadline sim.Time) {
+	for {
+		old := in.earliest.Load()
+		if !(float64(deadline) < math.Float64frombits(old)) {
+			return
+		}
+		if in.earliest.CompareAndSwap(old, math.Float64bits(float64(deadline))) {
+			return
+		}
+	}
+}
+
+// drainDue closes every window whose deadline lies strictly before the
+// clock's now. Every entry point calls it first. With nothing due it
+// costs one Now and one atomic load. A report stamped exactly at a
+// deadline is not drained against: whether it joins the closing window
+// follows invariant 8's schedule order, as on the sim kernel.
+//
+//hot:path
+func (in *Instance) drainDue() {
+	now := in.clock.Now()
+	if !(float64(now) > math.Float64frombits(in.earliest.Load())) {
+		return
+	}
+	in.drainMu.Lock()
+	in.drainLocked(now, nil)
+	in.drainMu.Unlock()
+}
+
+// expire is a shard's backstop timer callback: the same drain, plus the
+// shard's own window if it is due at or before now (the sim kernel fires
+// the timer at exactly the deadline). A timer whose window a drain
+// already closed finds nothing due.
+func (in *Instance) expire(sh *shard) {
+	in.drainMu.Lock()
+	in.drainLocked(in.clock.Now(), sh)
+	in.drainMu.Unlock()
+}
+
+// drainLocked closes, in (deadline, window-open order), every open
+// window due strictly before now, plus timer's window if it is due at
+// now. Callers hold drainMu. Only drains close windows, so a window
+// found open in the scan is still the same open window when its turn to
+// close comes.
+func (in *Instance) drainLocked(now sim.Time, timer *shard) {
+	if in.closed.Load() {
+		return
+	}
+	in.due = in.due[:0]
+	next := sim.Time(math.Inf(1))
+	for s, sh := range in.shards {
+		sh.mu.Lock()
+		if deadline, open := sh.agg.Deadline(); open {
+			if deadline < now || (sh == timer && deadline <= now) {
+				in.due = append(in.due, dueWindow{at: deadline, opened: sh.opened, shard: s})
+			} else {
+				next = min(next, deadline)
+			}
+		}
+		sh.mu.Unlock()
+	}
+	slices.SortFunc(in.due, cmpDue)
+	for _, w := range in.due {
+		sh := in.shards[w.shard]
+		sh.mu.Lock()
+		if !in.closed.Load() {
+			sh.agg.CloseIfDue(now)
+		}
+		sh.mu.Unlock()
+	}
+	// Raise the bound to the earliest deadline still open. A window that
+	// opened during the drain lowered the word before this store and may
+	// have been overwritten, so re-lower from every open window.
+	in.earliest.Store(math.Float64bits(float64(next)))
+	for _, sh := range in.shards {
+		sh.mu.Lock()
+		if deadline, open := sh.agg.Deadline(); open {
+			in.lowerEarliest(deadline)
+		}
+		sh.mu.Unlock()
+	}
+}
+
 // recordDecision appends a completed window to the decision ring. It runs
-// inside a clock drain with the owning shard's lock held; drains are
-// single-threaded (WallClock's firing guard, the sim kernel's thread), so
-// appends arrive already in (deadline, seq) order and ringMu only
-// publishes them to concurrent readers.
+// inside a drain with drainMu and the owning shard's lock held, so
+// appends arrive already in (deadline, window-open) order and ringMu
+// only publishes them to concurrent readers.
 func (in *Instance) recordDecision(o aggregator.BinaryOutcome) {
 	in.ringMu.Lock()
 	in.seq++
@@ -239,6 +366,7 @@ func (in *Instance) recordDecision(o aggregator.BinaryOutcome) {
 //
 //hot:path
 func (in *Instance) Report(node int) error {
+	in.drainDue()
 	s, ok := in.shardOf.Get(node)
 	if !ok {
 		if in.closed.Load() {
@@ -267,6 +395,7 @@ func (in *Instance) Report(node int) error {
 //
 //hot:path
 func (in *Instance) ReportMany(nodes []int) BatchResult {
+	in.drainDue()
 	res := BatchResult{FirstErr: -1}
 	i := 0
 	for i < len(nodes) {
@@ -317,6 +446,7 @@ func (in *Instance) ReportMany(nodes []int) BatchResult {
 // first, walking shards in index order, so the blob reflects every
 // decision made so far across the whole population.
 func (in *Instance) SealedSnapshot() ([]byte, error) {
+	in.drainDue()
 	in.stateMu.Lock()
 	defer in.stateMu.Unlock()
 	if in.closed.Load() {
@@ -374,6 +504,7 @@ func (in *Instance) RestoreSealed(blob []byte) error {
 // capacity behind silently misses the overwritten entries and should
 // resume from the first Seq it receives.
 func (in *Instance) DecisionsSince(since uint64) []Decision {
+	in.drainDue()
 	in.ringMu.Lock()
 	defer in.ringMu.Unlock()
 	if in.seq <= since {
@@ -395,6 +526,7 @@ func (in *Instance) DecisionsSince(since uint64) []Decision {
 
 // DecisionCount returns how many decisions the instance has made.
 func (in *Instance) DecisionCount() uint64 {
+	in.drainDue()
 	in.ringMu.Lock()
 	defer in.ringMu.Unlock()
 	return in.seq
@@ -419,6 +551,7 @@ func (in *Instance) SchemeName() string { return in.shards[0].scheme.Name() }
 // schemes holding per-node state only — answers the default trust, the
 // same value the single-lock instance reported.
 func (in *Instance) TI(node int) float64 {
+	in.drainDue()
 	sh := in.shards[0]
 	if s, ok := in.shardOf.Get(node); ok {
 		sh = in.shards[s]
@@ -430,6 +563,7 @@ func (in *Instance) TI(node int) float64 {
 
 // IsolatedNodes returns the sorted IDs of all isolated nodes.
 func (in *Instance) IsolatedNodes() []int {
+	in.drainDue()
 	var out []int
 	for _, sh := range in.shards {
 		sh.mu.Lock()
@@ -446,6 +580,7 @@ func (in *Instance) IsolatedNodes() []int {
 // k*S+s (the ShardMembers round-robin inverse), so rows land in place
 // without a sort.
 func (in *Instance) TrustTable() []TrustEntry {
+	in.drainDue()
 	out := make([]TrustEntry, len(in.members))
 	nShards := len(in.shards)
 	for s, sh := range in.shards {

@@ -16,11 +16,13 @@ import (
 // across locations preserves every decision and every trust value bit for
 // bit — concurrent ingest at different locations simply never contends.
 //
-// Lock order: an ingest path takes only shard.mu; a window expiry takes
-// shard.mu then ringMu (via recordDecision); snapshot/restore take
-// stateMu then each shard.mu in index order. No path takes two shard
-// locks at once, and nothing takes shard.mu while holding ringMu, so the
-// hierarchy stateMu → shard.mu → ringMu is cycle-free.
+// Lock order: an ingest path takes only shard.mu; a window close takes
+// drainMu, then shard.mu, then ringMu (via recordDecision);
+// snapshot/restore take stateMu then each shard.mu in index order. No
+// path takes two shard locks at once, nothing takes drainMu while
+// holding a shard lock, and nothing takes shard.mu while holding
+// ringMu, so the hierarchy drainMu → shard.mu → ringMu (and stateMu →
+// shard.mu) is cycle-free.
 type shard struct {
 	mu     sync.Mutex
 	scheme decision.Scheme
@@ -29,14 +31,20 @@ type shard struct {
 	// globally-sorted member at index k*S+s lives at position k of shard
 	// s, which is how TrustTable places rows without re-sorting.
 	members []int
+	// opened numbers the open window in instance-wide window-open order,
+	// the tiebreak between windows whose deadlines coincide.
+	opened uint64
+	// expire is the backstop timer callback, bound once per shard.
+	expire func()
 }
 
-// shardClock adapts the tenant's Clock for one shard: expiry callbacks
-// are wrapped to run under the shard's lock, so window closes serialize
-// with that shard's ingest and nothing else. Deadlines still live on the
-// one tenant-wide clock, whose single-drain contract (WallClock's firing
-// guard; the sim kernel's single thread) fires all shards' callbacks in
-// (deadline, seq) order — the fan-in order of the decision ring.
+// shardClock adapts the tenant's Clock for one shard. Its AfterFunc is
+// called exactly when the shard's aggregator opens a window: it records
+// the window's open order, lowers the instance's earliest-deadline word,
+// and arms the backstop timer. The timer does not run the aggregator's
+// own expiry; it runs the instance's drain for this shard, so a close
+// driven by the timer and one driven by an entry point take the same
+// lock and the same (deadline, open order) sort.
 type shardClock struct {
 	in *Instance
 	sh *shard
@@ -44,16 +52,14 @@ type shardClock struct {
 
 func (c shardClock) Now() sim.Time { return c.in.clock.Now() }
 
-func (c shardClock) AfterFunc(d sim.Duration, fn func()) {
+// AfterFunc runs with the shard's lock held (a window opens inside
+// Deliver).
+func (c shardClock) AfterFunc(d sim.Duration, _ func()) {
 	in, sh := c.in, c.sh
-	in.clock.AfterFunc(d, func() {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		if in.closed.Load() {
-			return
-		}
-		fn()
-	})
+	sh.opened = in.opens.Add(1)
+	deadline, _ := sh.agg.Deadline()
+	in.lowerEarliest(deadline)
+	in.clock.AfterFunc(d, sh.expire)
 }
 
 // ShardMembers partitions a member population into n event locations:

@@ -244,10 +244,11 @@ func TestShardCountOnePinsLegacy(t *testing.T) {
 // goroutines under the race detector: parallel single reports, batches
 // crossing shard boundaries, decision polls, trust reads, and sealed
 // snapshot/restore cycles, with real wall-clock expiries firing
-// throughout. The assertions are deliberately weak — counters move, no
-// call panics or deadlocks — because the property under test is the
-// locking discipline, not the arithmetic (the equivalence suite owns
-// that).
+// throughout, and every call draining due windows on its own. The
+// assertions are deliberately weak — counters move, no call panics or
+// deadlocks, decision deadlines never step back — because the property
+// under test is the locking discipline, not the arithmetic (the
+// equivalence suite owns that).
 func TestInstanceConcurrentStress(t *testing.T) {
 	const (
 		nMembers = 64
@@ -297,14 +298,21 @@ func TestInstanceConcurrentStress(t *testing.T) {
 	go func() { // decision and trust pollers
 		defer pollersWG.Done()
 		var since uint64
+		var last float64
 		for {
 			select {
 			case <-done:
 				return
 			default:
 			}
+			// Drains close windows in deadline order under one lock,
+			// whichever goroutine or timer runs them, so the ring's
+			// deadlines never step back.
 			for _, d := range inst.DecisionsSince(since) {
-				since = d.Seq
+				if d.Decided < last {
+					t.Errorf("decision %d decided at %v, after one decided at %v", d.Seq, d.Decided, last)
+				}
+				since, last = d.Seq, d.Decided
 			}
 			_ = inst.TrustTable()
 			_ = inst.IsolatedNodes()

@@ -22,18 +22,21 @@ import (
 // which is what makes the two drivers decision-equivalent on the same
 // report stream (TestEngineMatchesBatchSim).
 //
-// Callbacks run on the timer goroutine by default. SetExec installs a
-// serialization hook — engine.Instance uses it to run expiries under the
-// same mutex as report ingest, so pipeline state is never touched from
-// two goroutines at once. The heap lock is released before a callback
-// runs, so callbacks may re-enter AfterFunc/Now freely.
+// Callbacks run on the timer goroutine by default; SetExec installs a
+// function that runs them instead. engine.Instance uses neither hook:
+// its callbacks take the instance's own locks, and for an instance a
+// timer is only a backstop, since every call into it closes due windows
+// itself. The heap lock is released before a callback runs, so
+// callbacks may re-enter AfterFunc/Now freely.
 type WallClock struct {
-	unit time.Duration
+	// unit, start and nowFn are fixed before the clock is first used, so
+	// Now reads them without the lock.
+	unit  time.Duration
+	start time.Time
+	nowFn func() time.Time // stubbed by tests; time.Now in production
 
 	mu     sync.Mutex
-	start  time.Time
-	nowFn  func() time.Time // stubbed by tests; time.Now in production
-	arm    bool             // false in deterministic tests: fire() is driven manually
+	arm    bool // false in deterministic tests: fire() is driven manually
 	exec   func(func())
 	events []wallEvent // min-heap ordered by (at, seq)
 	seq    uint64
@@ -66,9 +69,9 @@ func NewWallClock(unit time.Duration) *WallClock {
 	}
 }
 
-// SetExec installs the function that runs fired callbacks. The engine
-// instance passes its lock-and-run helper so expiries serialize with
-// ingest; nil restores direct execution on the timer goroutine.
+// SetExec installs the function that runs fired callbacks, for a caller
+// that must serialize them with its own work; nil restores direct
+// execution on the timer goroutine.
 func (w *WallClock) SetExec(exec func(func())) {
 	w.mu.Lock()
 	w.exec = exec
@@ -76,14 +79,10 @@ func (w *WallClock) SetExec(exec func(func())) {
 }
 
 // Now returns the current virtual time: wall time since construction,
-// in units.
+// in units. It takes no lock: every engine entry point reads it.
+//
+//hot:path
 func (w *WallClock) Now() sim.Time {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.nowLocked()
-}
-
-func (w *WallClock) nowLocked() sim.Time {
 	return sim.Time(float64(w.nowFn().Sub(w.start)) / float64(w.unit))
 }
 
@@ -101,7 +100,7 @@ func (w *WallClock) AfterFunc(d sim.Duration, fn func()) {
 		w.mu.Unlock()
 		return
 	}
-	ev := wallEvent{at: w.nowLocked().Add(d), seq: w.seq, fn: fn}
+	ev := wallEvent{at: w.Now().Add(d), seq: w.seq, fn: fn}
 	w.seq++
 	w.events = append(w.events, ev)
 	w.siftUp(len(w.events) - 1)
@@ -191,7 +190,7 @@ func (w *WallClock) fire() {
 			return
 		}
 		head := w.events[0]
-		if head.at > w.nowLocked() {
+		if head.at > w.Now() {
 			w.firing = false
 			w.rearmLocked()
 			w.mu.Unlock()

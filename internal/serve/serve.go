@@ -139,7 +139,7 @@ type Server struct {
 
 	histMu sync.Mutex
 	ingest metrics.Histogram // wall ns per accepted report, measured per batch
-	decide metrics.Histogram // wall ns from window trigger to decision
+	decide metrics.Histogram // decision lag: wall ns from window deadline to publish
 }
 
 // NewServer returns an empty server (no tenants).
@@ -189,8 +189,9 @@ func (s *Server) CreateTenant(name string, cfg TenantConfig) error {
 		Shards:  cfg.Shards,
 		Clock:   clock,
 		OnDecision: func(d engine.Decision) {
+			lag := (float64(clock.Now()) - d.Decided) * unitNS
 			s.histMu.Lock()
-			s.decide.Record((d.Decided - d.Trigger) * unitNS)
+			s.decide.Record(lag)
 			s.histMu.Unlock()
 		},
 	})
@@ -244,7 +245,9 @@ func (s *Server) Close() {
 	}
 }
 
-// LatencySummaries snapshots the ingest and decision histograms.
+// LatencySummaries snapshots the ingest histogram and the decision-lag
+// histogram (wall ns from each window's deadline to its decision being
+// published).
 func (s *Server) LatencySummaries() (ingest, decide metrics.HistogramSummary) {
 	s.histMu.Lock()
 	defer s.histMu.Unlock()

@@ -149,6 +149,22 @@ func TestServeTrustAndMetrics(t *testing.T) {
 	}
 }
 
+// TestServeDecisionLag pins what decision_ns measures: the wall time
+// from a window's deadline to its decision being published, not the
+// window length. A poll after the deadline publishes the decision
+// itself, so the lag stays far below the 100 ms window.
+func TestServeDecisionLag(t *testing.T) {
+	s, ts := testServer(t)
+	mustCreate(t, ts, "alpha", `{"nodes":3,"tout":100000}`)
+	do(t, http.MethodPost, ts.URL+"/v1/tenants/alpha/reports", []byte(`{"nodes":[0]}`))
+	inst, _ := s.Tenant("alpha")
+	waitDecisions(t, inst, 1)
+	_, decide := s.LatencySummaries()
+	if decide.Count != 1 || !(decide.Max < 50e6) {
+		t.Fatalf("decision_ns = %+v, want one sample of deadline-to-publish lag well under the 100 ms window", decide)
+	}
+}
+
 func TestServeSnapshotRoundTrip(t *testing.T) {
 	s, ts := testServer(t)
 	mustCreate(t, ts, "alpha", `{"nodes":4,"tout":50}`)
