@@ -105,16 +105,17 @@ load:
 
 # End-to-end serving smoke (CI's serve-smoke job): build both binaries,
 # boot the daemon, push SMOKE_REPORTS seeded reports across
-# SMOKE_TENANTS sharded tenants from a closed-loop worker fleet over the
+# SMOKE_TENANTS tenants from a closed-loop worker fleet over the
 # line-format batch wire, require decisions on every tenant, roundtrip
 # each tenant's sealed snapshot, and leave the latency histograms plus
-# the sustained reports/sec figure in serve-latency.json. Override the
+# the sustained reports/sec figure in serve-latency.json. A tenant is one
+# event location under one lock, so the workers run in parallel by
+# spreading the load across tenants. Override the
 # SMOKE_* knobs to rescale; SMOKE_WIRE=json exercises the classic path.
 SMOKE_DIR := /tmp/tibfit-serve-smoke
 SMOKE_REPORTS ?= 1000000
 SMOKE_TENANTS ?= 8
 SMOKE_WORKERS ?= 4
-SMOKE_SHARDS ?= 4
 SMOKE_WIRE ?= batch
 serve-smoke:
 	$(GO) build -o $(SMOKE_DIR)/tibfit-serve ./cmd/tibfit-serve
@@ -125,7 +126,7 @@ serve-smoke:
 	$(SMOKE_DIR)/tibfit-load -addr http://127.0.0.1:18080 \
 		-tenants $(SMOKE_TENANTS) -reports $(SMOKE_REPORTS) \
 		-nodes 32 -batch 256 -tout 5 \
-		-workers $(SMOKE_WORKERS) -wire $(SMOKE_WIRE) -shards $(SMOKE_SHARDS) \
+		-workers $(SMOKE_WORKERS) -wire $(SMOKE_WIRE) \
 		-min-decisions $(SMOKE_TENANTS) -snapshot-roundtrip -out serve-latency.json
 
 # Brief continuous fuzzing of the fuzz targets (5s each).

@@ -9,7 +9,7 @@
 //
 //	tibfit-load [-addr http://127.0.0.1:8080] [-tenants 4] [-tenant load]
 //	            [-scheme tibfit] [-reports 10000] [-nodes 32] [-batch 64]
-//	            [-workers 1] [-wire json|batch] [-shards 1]
+//	            [-workers 1] [-wire json|batch]
 //	            [-tout 5] [-seed 7] [-out latency.json]
 //	            [-min-decisions 1] [-snapshot-roundtrip]
 //
@@ -72,7 +72,6 @@ func run(args []string, out *os.File) error {
 		batch     = fs.Int("batch", 64, "max reports per ingest request")
 		workers   = fs.Int("workers", 1, "concurrent closed-loop send workers")
 		wire      = fs.String("wire", wireJSON, `ingest wire format: "json" or "batch" (line-format hot path)`)
-		shards    = fs.Int("shards", 1, "shards per tenant (single-writer event locations)")
 		tout      = fs.Float64("tout", 5, "tenant T_out in the server's virtual units")
 		seed      = fs.Int64("seed", 7, "random seed for the report stream")
 		outPath   = fs.String("out", "", "write the latency-histogram JSON artifact here")
@@ -111,9 +110,6 @@ func run(args []string, out *os.File) error {
 	if *wire != wireJSON && *wire != wireBatch {
 		return fmt.Errorf("-wire must be %q or %q, got %q", wireJSON, wireBatch, *wire)
 	}
-	if *shards <= 0 {
-		return fmt.Errorf("-shards must be positive, got %d", *shards)
-	}
 
 	// One shared client: each worker holds one connection open in its
 	// closed loop, so the idle pool must cover the whole fleet.
@@ -129,7 +125,7 @@ func run(args []string, out *os.File) error {
 		names[i] = fmt.Sprintf("%s-%d", *tenant, i)
 	}
 	for _, name := range names {
-		cfg := map[string]any{"scheme": scheme, "tout": *tout, "nodes": *nodes, "shards": *shards}
+		cfg := map[string]any{"scheme": scheme, "tout": *tout, "nodes": *nodes}
 		if sf.Lambda > 0 {
 			cfg["lambda"] = sf.Lambda
 		}
@@ -247,7 +243,6 @@ func run(args []string, out *os.File) error {
 			"tenants":         len(names),
 			"workers":         *workers,
 			"wire":            *wire,
-			"shards":          *shards,
 			"wall_seconds":    wall.Seconds(),
 			"reports_per_sec": reportsPerSec,
 			"request_ns":      summary,

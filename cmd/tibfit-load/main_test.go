@@ -26,7 +26,6 @@ func TestRunErrors(t *testing.T) {
 		{"zero batch", []string{"-batch", "0"}},
 		{"zero workers", []string{"-workers", "0"}},
 		{"bad wire", []string{"-wire", "grpc"}},
-		{"zero shards", []string{"-shards", "0"}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -176,7 +175,6 @@ func TestRunBatchWireWorkers(t *testing.T) {
 		"-batch", "16",
 		"-workers", "3",
 		"-wire", "batch",
-		"-shards", "4",
 		"-tout", "20",
 		"-min-decisions", "1",
 		"-out", outPath,
@@ -204,7 +202,7 @@ func TestRunBatchWireWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		`"schema": "tibfit-load/v2"`, `"wire": "batch"`, `"workers": 3`, `"shards": 4`,
+		`"schema": "tibfit-load/v2"`, `"wire": "batch"`, `"workers": 3`,
 	} {
 		if !bytes.Contains(artifact, []byte(want)) {
 			t.Fatalf("artifact missing %q:\n%s", want, artifact)

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	tibfit-serve [-listen 127.0.0.1:8080] [-tenant default]
-//	             [-scheme tibfit] [-tout 100] [-nodes 16] [-shards 1]
+//	             [-scheme tibfit] [-tout 100] [-nodes 16]
 //	             [-unit 1ms] [-snapshot state.tibs] [-save state.tibs]
 //
 // The daemon boots with one tenant (-tenant), optionally restored from
@@ -45,7 +45,6 @@ func run(args []string, out *os.File) error {
 		tenant   = fs.String("tenant", "default", "boot tenant name")
 		tout     = fs.Float64("tout", 100, "boot tenant T_out, in -unit virtual units")
 		nodes    = fs.Int("nodes", 16, "boot tenant member count (IDs 0..n-1)")
-		shards   = fs.Int("shards", 1, "boot tenant shard count (single-writer event locations)")
 		unit     = fs.Duration("unit", serve.DefaultUnit, "wall duration of one virtual time unit")
 		snapshot = fs.String("snapshot", "", "restore the boot tenant from this sealed snapshot file")
 		save     = fs.String("save", "", "write the boot tenant's sealed snapshot here on shutdown")
@@ -72,9 +71,6 @@ func run(args []string, out *os.File) error {
 	if *nodes <= 0 {
 		return fmt.Errorf("-nodes must be positive, got %d", *nodes)
 	}
-	if *shards <= 0 {
-		return fmt.Errorf("-shards must be positive, got %d", *shards)
-	}
 
 	srv := serve.NewServer(serve.Config{Unit: *unit})
 	defer srv.Close()
@@ -82,7 +78,6 @@ func run(args []string, out *os.File) error {
 		Scheme: scheme,
 		Tout:   *tout,
 		Nodes:  *nodes,
-		Shards: *shards,
 	}
 	cfg.Lambda = sf.Lambda
 	cfg.FaultRate = sf.FaultRate

@@ -14,12 +14,14 @@ import (
 // with the window horizon far enough out that no expiry fires. This is
 // the per-report cost the serve ingest histogram records, minus HTTP.
 func BenchmarkInstanceIngest(b *testing.B) {
+	clock := NewWallClock(time.Hour)
+	defer clock.Close()
 	inst, err := New(Config{
 		Scheme:  decision.SchemeTIBFIT,
 		Params:  decision.Params{Trust: core.Params{Lambda: 0.25, FaultRate: 0.1}},
 		Tout:    1e9,
 		Members: members(64),
-		Clock:   NewWallClock(time.Hour),
+		Clock:   clock,
 	})
 	if err != nil {
 		b.Fatal(err)

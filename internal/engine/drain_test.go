@@ -12,13 +12,13 @@ import (
 // never armed: windows close only through w.fire() or through the
 // instance's own entry-point drains. decided collects OnDecision calls, an
 // observer that does not itself drain.
-func stubInstance(t *testing.T, scheme string, tout sim.Duration, n, shards int) (*Instance, *WallClock, func(float64), *[]Decision) {
+func stubInstance(t *testing.T, scheme string, tout sim.Duration, n int) (*Instance, *WallClock, func(float64), *[]Decision) {
 	t.Helper()
 	w, advance := stubClock()
 	var decided []Decision
 	inst, err := New(Config{
 		Scheme: scheme, Params: engineParams(), Tout: tout,
-		Members: members(n), Shards: shards, Clock: w,
+		Members: members(n), Clock: w,
 		OnDecision: func(d Decision) { decided = append(decided, d) },
 	})
 	if err != nil {
@@ -33,7 +33,7 @@ func stubInstance(t *testing.T, scheme string, tout sim.Duration, n, shards int)
 // with no timer firing, and the decision is stamped with the deadline,
 // not the poll time. A poll exactly at the deadline does not drain.
 func TestDecisionsSinceDrainsDueWindow(t *testing.T) {
-	inst, w, advance, _ := stubInstance(t, decision.SchemeTIBFIT, 5, 3, 1)
+	inst, w, advance, _ := stubInstance(t, decision.SchemeTIBFIT, 5, 3)
 	if err := inst.Report(0); err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestDecisionsSinceDrainsDueWindow(t *testing.T) {
 // after the deadline closes the due window first and opens a new one,
 // and the closed window's stale timer does not close the new one.
 func TestLateReportOpensNewWindow(t *testing.T) {
-	inst, w, advance, decided := stubInstance(t, decision.SchemeTIBFIT, 5, 3, 1)
+	inst, w, advance, decided := stubInstance(t, decision.SchemeTIBFIT, 5, 3)
 	if err := inst.Report(0); err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestEveryEntryPointDrains(t *testing.T) {
 	}
 	for name, call := range entries {
 		t.Run(name, func(t *testing.T) {
-			inst, _, advance, decided := stubInstance(t, decision.SchemeTIBFIT, 5, 3, 1)
+			inst, _, advance, decided := stubInstance(t, decision.SchemeTIBFIT, 5, 3)
 			if err := inst.Report(0); err != nil {
 				t.Fatal(err)
 			}
@@ -121,10 +121,10 @@ func TestEveryEntryPointDrains(t *testing.T) {
 // each arrival, the way the batch-equivalence tests drive it), one whose
 // windows close only by entry-point drains (the timer never fires). The
 // decision streams — seq, verdict, both sides, trigger and decided — and
-// the trust tables must be identical bit for bit, for every scheme and
-// at one and four shards. No arrival in the stream lands exactly on a
-// deadline, the one instant where the strict entry-point rule and a
-// timer at the deadline part ways by design.
+// the trust tables must be identical bit for bit, for every scheme. No
+// arrival in the stream lands exactly on a deadline, the one instant
+// where the strict entry-point rule and a timer at the deadline part
+// ways by design.
 func TestDrainMatchesTimerExpiry(t *testing.T) {
 	const (
 		nMembers = 11
@@ -133,50 +133,50 @@ func TestDrainMatchesTimerExpiry(t *testing.T) {
 	)
 	stream := seededStream(44, nReports, nMembers)
 	end := float64(stream[len(stream)-1].at) + float64(tout) + 1
-	for _, shards := range []int{1, 4} {
-		for _, name := range decision.Names() {
-			t.Run(fmt.Sprintf("shards=%d/%s", shards, name), func(t *testing.T) {
-				timed, w, advanceT, timedDs := stubInstance(t, name, tout, nMembers, shards)
-				for _, ev := range stream {
-					advanceT(float64(ev.at))
-					w.fire()
-					if err := timed.Report(ev.node); err != nil {
-						t.Fatal(err)
-					}
-				}
-				advanceT(end)
+	for _, name := range decision.Names() {
+		// A tenant is one event location; the subtest names keep their
+		// "shards=1" form so runs stay comparable by name.
+		t.Run("shards=1/"+name, func(t *testing.T) {
+			timed, w, advanceT, timedDs := stubInstance(t, name, tout, nMembers)
+			for _, ev := range stream {
+				advanceT(float64(ev.at))
 				w.fire()
+				if err := timed.Report(ev.node); err != nil {
+					t.Fatal(err)
+				}
+			}
+			advanceT(end)
+			w.fire()
 
-				drained, _, advanceD, drainedDs := stubInstance(t, name, tout, nMembers, shards)
-				for i, ev := range stream {
-					advanceD(float64(ev.at))
-					if err := drained.Report(ev.node); err != nil {
-						t.Fatal(err)
-					}
-					if i%7 == 0 {
-						_ = drained.DecisionsSince(0) // polls between reports change nothing
-					}
+			drained, _, advanceD, drainedDs := stubInstance(t, name, tout, nMembers)
+			for i, ev := range stream {
+				advanceD(float64(ev.at))
+				if err := drained.Report(ev.node); err != nil {
+					t.Fatal(err)
 				}
-				advanceD(end)
-				polled := drained.DecisionsSince(0)
+				if i%7 == 0 {
+					_ = drained.DecisionsSince(0) // polls between reports change nothing
+				}
+			}
+			advanceD(end)
+			polled := drained.DecisionsSince(0)
 
-				if len(*timedDs) < 20 || len(*timedDs) != len(*drainedDs) || len(polled) != len(*drainedDs) {
-					t.Fatalf("timer made %d decisions, drains %d (poll saw %d)", len(*timedDs), len(*drainedDs), len(polled))
+			if len(*timedDs) < 20 || len(*timedDs) != len(*drainedDs) || len(polled) != len(*drainedDs) {
+				t.Fatalf("timer made %d decisions, drains %d (poll saw %d)", len(*timedDs), len(*drainedDs), len(polled))
+			}
+			for i, a := range *timedDs {
+				if key(a) != key((*drainedDs)[i]) || key(polled[i]) != key(a) {
+					t.Fatalf("decision %d diverges:\n timer %+v\n drain %+v", i, a, (*drainedDs)[i])
 				}
-				for i, a := range *timedDs {
-					if key(a) != key((*drainedDs)[i]) || key(polled[i]) != key(a) {
-						t.Fatalf("decision %d diverges:\n timer %+v\n drain %+v", i, a, (*drainedDs)[i])
-					}
+			}
+			tt, dt := timed.TrustTable(), drained.TrustTable()
+			for i := range tt {
+				//lint:allow floateq equivalence demands bit-identical trust, not approximate
+				if tt[i] != dt[i] {
+					t.Fatalf("trust row %d: timer %+v, drain %+v", i, tt[i], dt[i])
 				}
-				tt, dt := timed.TrustTable(), drained.TrustTable()
-				for i := range tt {
-					//lint:allow floateq equivalence demands bit-identical trust, not approximate
-					if tt[i] != dt[i] {
-						t.Fatalf("trust row %d: timer %+v, drain %+v", i, tt[i], dt[i])
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 

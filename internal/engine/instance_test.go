@@ -4,7 +4,9 @@ import (
 	"errors"
 	"math"
 	"sort"
+	"sync"
 	"testing"
+	"time"
 
 	"github.com/tibfit/tibfit/internal/aggregator"
 	"github.com/tibfit/tibfit/internal/core"
@@ -331,6 +333,121 @@ func TestSameInstantOrderWallClock(t *testing.T) {
 	if len(ds) != 2 || intsKey(ds[0].Reporters) != intsKey([]int{0}) ||
 		intsKey(ds[1].Reporters) != intsKey([]int{1}) {
 		t.Fatalf("expiry-before-ingest: decisions %+v, want [0] then [1]", ds)
+	}
+}
+
+// TestInstanceConcurrentStress hammers one instance from many
+// goroutines under the race detector: parallel single reports, batches,
+// decision polls, trust reads, and sealed
+// snapshot/restore cycles, with real wall-clock expiries firing
+// throughout, and every call draining due windows on its own. The
+// assertions are deliberately weak — counters move, no call panics or
+// deadlocks, decision deadlines never step back — because the property
+// under test is the locking discipline, not the arithmetic (the
+// equivalence suite owns that).
+func TestInstanceConcurrentStress(t *testing.T) {
+	const (
+		nMembers = 64
+		writers  = 4
+		batches  = 400
+	)
+	clock := NewWallClock(200 * time.Microsecond)
+	defer clock.Close()
+	inst, err := New(Config{
+		Scheme:  decision.SchemeTIBFIT,
+		Params:  engineParams(),
+		Tout:    2,
+		Members: members(nMembers),
+		Clock:   clock,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var writersWG, pollersWG sync.WaitGroup
+	done := make(chan struct{})
+	for wkr := 0; wkr < writers; wkr++ {
+		writersWG.Add(1)
+		go func(seed int64) {
+			defer writersWG.Done()
+			src := rng.New(seed)
+			batch := make([]int, 16)
+			for i := 0; i < batches; i++ {
+				for j := range batch {
+					batch[j] = src.Intn(nMembers)
+				}
+				if i%7 == 0 {
+					batch[src.Intn(len(batch))] = nMembers + 1000 // one bad row
+				}
+				res := inst.ReportMany(batch)
+				if res.Err != nil && !errors.Is(res.Err, ErrUnknownNode) {
+					t.Errorf("ReportMany: %v", res.Err)
+					return
+				}
+				if err := inst.Report(src.Intn(nMembers)); err != nil {
+					t.Errorf("Report: %v", err)
+					return
+				}
+			}
+		}(int64(wkr + 1))
+	}
+	pollersWG.Add(1)
+	go func() { // decision and trust pollers
+		defer pollersWG.Done()
+		var since uint64
+		var last float64
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			// Windows close under the instance's one lock, whichever
+			// goroutine or timer closes them, so the ring's deadlines
+			// never step back.
+			for _, d := range inst.DecisionsSince(since) {
+				if d.Decided < last {
+					t.Errorf("decision %d decided at %v, after one decided at %v", d.Seq, d.Decided, last)
+				}
+				since, last = d.Seq, d.Decided
+			}
+			_ = inst.TrustTable()
+			_ = inst.IsolatedNodes()
+			_ = inst.TI(3)
+		}
+	}()
+	pollersWG.Add(1)
+	go func() { // snapshot/restore cycles
+		defer pollersWG.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			blob, err := inst.SealedSnapshot()
+			if err != nil {
+				t.Errorf("SealedSnapshot: %v", err)
+				return
+			}
+			if i%2 == 1 {
+				if err := inst.RestoreSealed(blob); err != nil && !errors.Is(err, ErrSnapshotStale) {
+					t.Errorf("RestoreSealed: %v", err)
+					return
+				}
+			}
+		}
+	}()
+	// Writers run to completion with the pollers hammering alongside;
+	// then the pollers stand down and the instance closes under them.
+	writersWG.Wait()
+	close(done)
+	pollersWG.Wait()
+	if got := inst.ReportCount(); got == 0 {
+		t.Fatal("no reports accepted under stress")
+	}
+	inst.Close()
+	if err := inst.Report(0); !errors.Is(err, ErrClosed) {
+		t.Fatalf("post-close Report = %v, want ErrClosed", err)
 	}
 }
 

@@ -22,12 +22,10 @@ import (
 // which is what makes the two drivers decision-equivalent on the same
 // report stream (TestEngineMatchesBatchSim).
 //
-// Callbacks run on the timer goroutine by default; SetExec installs a
-// function that runs them instead. engine.Instance uses neither hook:
-// its callbacks take the instance's own locks, and for an instance a
-// timer is only a backstop, since every call into it closes due windows
-// itself. The heap lock is released before a callback runs, so
-// callbacks may re-enter AfterFunc/Now freely.
+// Callbacks run on the timer goroutine with the heap lock released, so
+// they may re-enter AfterFunc/Now freely. For an engine.Instance a timer
+// is only a backstop: its callback takes the instance's lock, and every
+// call into the instance closes a due window itself.
 type WallClock struct {
 	// unit, start and nowFn are fixed before the clock is first used, so
 	// Now reads them without the lock.
@@ -36,8 +34,7 @@ type WallClock struct {
 	nowFn func() time.Time // stubbed by tests; time.Now in production
 
 	mu     sync.Mutex
-	arm    bool // false in deterministic tests: fire() is driven manually
-	exec   func(func())
+	arm    bool        // false in deterministic tests: fire() is driven manually
 	events []wallEvent // min-heap ordered by (at, seq)
 	seq    uint64
 	timer  *time.Timer
@@ -67,15 +64,6 @@ func NewWallClock(unit time.Duration) *WallClock {
 		nowFn: time.Now,
 		arm:   true,
 	}
-}
-
-// SetExec installs the function that runs fired callbacks, for a caller
-// that must serialize them with its own work; nil restores direct
-// execution on the timer goroutine.
-func (w *WallClock) SetExec(exec func(func())) {
-	w.mu.Lock()
-	w.exec = exec
-	w.mu.Unlock()
 }
 
 // Now returns the current virtual time: wall time since construction,
@@ -197,13 +185,8 @@ func (w *WallClock) fire() {
 			return
 		}
 		w.popLocked()
-		exec := w.exec
 		w.mu.Unlock()
-		if exec != nil {
-			exec(head.fn)
-		} else {
-			head.fn()
-		}
+		head.fn()
 		w.mu.Lock()
 	}
 }

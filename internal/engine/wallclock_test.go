@@ -99,19 +99,6 @@ func TestWallClockFutureEventsStayPending(t *testing.T) {
 	}
 }
 
-func TestWallClockExecHookSerializes(t *testing.T) {
-	w, advance := stubClock()
-	defer w.Close()
-	var wrapped, ran bool
-	w.SetExec(func(fn func()) { wrapped = true; fn() })
-	w.AfterFunc(1, func() { ran = true })
-	advance(2)
-	w.fire()
-	if !wrapped || !ran {
-		t.Fatalf("wrapped=%t ran=%t, want both true", wrapped, ran)
-	}
-}
-
 func TestWallClockCloseDropsPending(t *testing.T) {
 	w, advance := stubClock()
 	fired := false

@@ -18,7 +18,7 @@ type batchAck struct {
 
 func TestServeBatchLineIngest(t *testing.T) {
 	_, ts := testServer(t)
-	mustCreate(t, ts, "alpha", `{"tout":1000,"nodes":8,"shards":4}`)
+	mustCreate(t, ts, "alpha", `{"tout":1000,"nodes":8}`)
 	url := ts.URL + "/v1/tenants/alpha/reports/batch"
 
 	status, body := do(t, http.MethodPost, url, []byte("0\n1\n2\n5\n"))
@@ -46,7 +46,7 @@ func TestServeBatchLineIngest(t *testing.T) {
 
 func TestServeBatchLinePartialAccept(t *testing.T) {
 	_, ts := testServer(t)
-	mustCreate(t, ts, "alpha", `{"tout":1000,"nodes":4,"shards":2}`)
+	mustCreate(t, ts, "alpha", `{"tout":1000,"nodes":4}`)
 	url := ts.URL + "/v1/tenants/alpha/reports/batch"
 
 	// One unknown node mid-batch: the rest still lands, the reply says
@@ -97,34 +97,5 @@ func TestServeJSONPartialAccept(t *testing.T) {
 	if ack.Accepted != 2 || ack.Rejected != 1 || ack.FirstErrorIndex != 1 ||
 		!strings.Contains(ack.Error, "unknown node") {
 		t.Fatalf("partial JSON ack = %+v, want 2 accepted, 1 rejected at index 1", ack)
-	}
-}
-
-// TestServeShardsInMetrics checks the shard count reaches the tenant
-// stat views.
-func TestServeShardsInMetrics(t *testing.T) {
-	s, ts := testServer(t)
-	mustCreate(t, ts, "alpha", `{"tout":1000,"nodes":8,"shards":4}`)
-	inst, ok := s.Tenant("alpha")
-	if !ok {
-		t.Fatal("tenant alpha missing")
-	}
-	if inst.Shards() != 4 {
-		t.Fatalf("Shards() = %d, want 4", inst.Shards())
-	}
-	status, body := do(t, http.MethodGet, ts.URL+"/v1/metrics", nil)
-	if status != http.StatusOK {
-		t.Fatalf("metrics: HTTP %d", status)
-	}
-	var reply struct {
-		PerTenant map[string]struct {
-			Shards int `json:"shards"`
-		} `json:"per_tenant"`
-	}
-	if err := json.Unmarshal(body, &reply); err != nil {
-		t.Fatal(err)
-	}
-	if reply.PerTenant["alpha"].Shards != 4 {
-		t.Fatalf("metrics shards = %d, want 4", reply.PerTenant["alpha"].Shards)
 	}
 }

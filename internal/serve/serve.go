@@ -70,10 +70,9 @@ type TenantConfig struct {
 	// generates members 0..Nodes-1 (default 16, at most maxNodes).
 	Members []int `json:"members,omitempty"`
 	Nodes   int   `json:"nodes,omitempty"`
-	// Shards partitions the tenant's members into that many single-writer
-	// event-location shards (engine.ShardMembers); concurrent ingest for
-	// different locations never contends. Default 1, the single-lock
-	// single-window engine; values above the member count are clamped.
+	// Shards must be 0 or 1: a tenant is one event location, with one
+	// window over all its members. The field stays on the wire so that
+	// clients sending "shards": 1 keep working.
 	Shards int `json:"shards,omitempty"`
 	// Lambda, FaultRate, and RemovalThreshold override the §3 trust
 	// parameters (defaults 0.25, 0.1, 0.3 — the Table-2-like values the
@@ -112,9 +111,6 @@ func (c TenantConfig) withDefaults() TenantConfig {
 	if c.RemovalThreshold == 0 {
 		c.RemovalThreshold = 0.3
 	}
-	if c.Shards <= 0 {
-		c.Shards = 1
-	}
 	return c
 }
 
@@ -125,6 +121,13 @@ type tenant struct {
 	inst   *engine.Instance
 	clock  *engine.WallClock
 	serial uint64 // creation order, for stable listings
+}
+
+// close shuts the instance down, then the clock the server created for
+// it.
+func (t *tenant) close() {
+	t.inst.Close()
+	t.clock.Close()
 }
 
 // Server is the multi-tenant HTTP front end. All methods and the
@@ -159,15 +162,18 @@ func NewServer(cfg Config) *Server {
 func (s *Server) Unit() time.Duration { return s.unit }
 
 // CreateTenant builds a tenant's engine instance on a fresh wall clock.
-// It fails if the name is invalid, Nodes exceeds maxNodes, the tenant
-// already exists, or the config is rejected by the engine (unknown
-// scheme, bad parameters).
+// It fails if the name is invalid, Nodes exceeds maxNodes, Shards is
+// neither 0 nor 1, the tenant already exists, or the config is rejected
+// by the engine (unknown scheme, bad parameters).
 func (s *Server) CreateTenant(name string, cfg TenantConfig) error {
 	if err := cli.ValidateTenant(name); err != nil {
 		return err
 	}
 	if cfg.Nodes > maxNodes {
 		return fmt.Errorf("serve: tenant %q: nodes %d exceeds the limit of %d", name, cfg.Nodes, maxNodes)
+	}
+	if cfg.Shards != 0 && cfg.Shards != 1 {
+		return fmt.Errorf("serve: tenant %q: shards %d: a tenant is one event location, so shards must be 0 or 1", name, cfg.Shards)
 	}
 	cfg = cfg.withDefaults()
 	s.mu.Lock()
@@ -186,7 +192,6 @@ func (s *Server) CreateTenant(name string, cfg TenantConfig) error {
 		}},
 		Tout:    sim.Duration(cfg.Tout),
 		Members: cfg.Members,
-		Shards:  cfg.Shards,
 		Clock:   clock,
 		OnDecision: func(d engine.Decision) {
 			lag := (float64(clock.Now()) - d.Decided) * unitNS
@@ -204,15 +209,15 @@ func (s *Server) CreateTenant(name string, cfg TenantConfig) error {
 	return nil
 }
 
-// DropTenant closes and removes a tenant. It reports whether the tenant
-// existed.
+// DropTenant closes and removes a tenant, and stops its clock. It
+// reports whether the tenant existed.
 func (s *Server) DropTenant(name string) bool {
 	s.mu.Lock()
 	t, ok := s.tenants[name]
 	delete(s.tenants, name)
 	s.mu.Unlock()
 	if ok {
-		t.inst.Close()
+		t.close()
 	}
 	return ok
 }
@@ -241,7 +246,7 @@ func (s *Server) Close() {
 	s.mu.Unlock()
 	sort.Slice(tenants, func(i, j int) bool { return tenants[i].serial < tenants[j].serial })
 	for _, t := range tenants {
-		t.inst.Close()
+		t.close()
 	}
 }
 
@@ -322,7 +327,6 @@ type tenantStatView struct {
 	Scheme    string  `json:"scheme"`
 	Tout      float64 `json:"tout"`
 	Members   int     `json:"members"`
-	Shards    int     `json:"shards"`
 	Reports   uint64  `json:"reports"`
 	Decisions uint64  `json:"decisions"`
 	Isolated  int     `json:"isolated"`
@@ -333,7 +337,6 @@ func (s *Server) tenantView(t *tenant) tenantStatView {
 		Scheme:    t.inst.SchemeName(),
 		Tout:      t.cfg.Tout,
 		Members:   len(t.inst.Members()),
-		Shards:    t.inst.Shards(),
 		Reports:   t.inst.ReportCount(),
 		Decisions: t.inst.DecisionCount(),
 		Isolated:  len(t.inst.IsolatedNodes()),
@@ -507,11 +510,14 @@ func (s *Server) handleDecisions(w http.ResponseWriter, r *http.Request) {
 		since = parsed
 	}
 	ds := t.inst.DecisionsSince(since)
-	latest := since
+	var latest uint64
 	if n := len(ds); n > 0 {
 		latest = ds[n-1].Seq
-	} else if c := t.inst.DecisionCount(); c > latest {
-		latest = c
+	} else {
+		// An empty page resumes from the tenant's last seq, never past
+		// it. Decisions made after the page was read sit above since, so
+		// a count that has passed since still resumes from since.
+		latest = min(since, t.inst.DecisionCount())
 	}
 	if ds == nil {
 		ds = []engine.Decision{}

@@ -273,6 +273,42 @@ func TestServeRejectsOversizedNodes(t *testing.T) {
 	}
 }
 
+// TestServeShardsIsOneLocation pins the shards wire field: a tenant is
+// one event location, so {"shards":1} and {} create a tenant and any
+// other count is a 400 that names the field.
+func TestServeShardsIsOneLocation(t *testing.T) {
+	_, ts := testServer(t)
+	status, body := do(t, http.MethodPost, ts.URL+"/v1/tenants/four", []byte(`{"shards":4}`))
+	if status != http.StatusBadRequest || !strings.Contains(string(body), "shards") ||
+		!strings.Contains(string(body), "one event location") {
+		t.Fatalf(`{"shards":4}: HTTP %d: %s, want 400 naming shards`, status, body)
+	}
+	mustCreate(t, ts, "one", `{"shards":1}`)
+	mustCreate(t, ts, "plain", `{}`)
+}
+
+// TestServeDecisionsLatestNeverPastLastSeq pins the resume point of an
+// empty decision page: a poller that asks beyond the last decision is
+// told the tenant's real last seq, not its own since echoed back.
+func TestServeDecisionsLatestNeverPastLastSeq(t *testing.T) {
+	_, ts := testServer(t)
+	mustCreate(t, ts, "alpha", `{}`)
+	status, body := do(t, http.MethodGet, ts.URL+"/v1/tenants/alpha/decisions?since=99", nil)
+	if status != http.StatusOK {
+		t.Fatalf("decisions: HTTP %d: %s", status, body)
+	}
+	var page struct {
+		Decisions []engine.Decision `json:"decisions"`
+		Latest    *uint64           `json:"latest"`
+	}
+	if err := json.Unmarshal(body, &page); err != nil {
+		t.Fatal(err)
+	}
+	if len(page.Decisions) != 0 || page.Latest == nil || *page.Latest != 0 {
+		t.Fatalf("?since=99 on a fresh tenant = %s, want no decisions and latest 0", body)
+	}
+}
+
 func TestServeHealthz(t *testing.T) {
 	_, ts := testServer(t)
 	status, body := do(t, http.MethodGet, ts.URL+"/healthz", nil)
