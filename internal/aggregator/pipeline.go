@@ -14,16 +14,17 @@ import (
 // batch (driven by *sim.Kernel, which satisfies Clock via AfterFunc) and
 // online (driven by engine.WallClock against real time).
 //
-// The ordering contract callbacks rely on (docs/DETERMINISM.md,
-// invariant 8): callbacks whose deadlines coincide fire in the order
-// they were scheduled — the kernel's (time, seq) total order, which the
-// wall-clock driver reproduces with its own (deadline, seq) heap. A
-// report and a window expiry landing at the same instant therefore
-// resolve in schedule order: a report event enqueued before the window
-// opened is delivered first and joins the closing window, while one
-// enqueued after the expiry was armed arrives second and opens the
-// next window. Both drivers pin this in
-// internal/engine's same-instant regression tests.
+// On the kernel, callbacks whose deadlines coincide fire in the order
+// they were scheduled — its (time, seq) total order (docs/DETERMINISM.md,
+// invariant 8). A report and a window expiry landing at the same instant
+// therefore resolve in schedule order: a report event enqueued before
+// the window opened is delivered first and joins the closing window,
+// while one enqueued after the expiry was armed arrives second and opens
+// the next window. The wall-clock driver promises no callback order; the
+// online engine does not rely on one, because its timers are backstops
+// that close a window only when it is due, under the tenant's one lock
+// (invariant 9). internal/engine's same-instant regression tests pin
+// both paths.
 //
 // This is the consumer-side declaration of the seam; internal/engine
 // re-exports the identical interface as engine.Clock next to its clock

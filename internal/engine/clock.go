@@ -10,9 +10,11 @@
 //     simulation kernel is one implementation (*sim.Kernel satisfies
 //     Clock directly via Kernel.AfterFunc), which is how the batch path
 //     stays byte-identical: it runs the exact code it always ran.
-//   - WallClock, the real-time driver: one-shot callbacks against the
-//     OS clock, with the kernel's (deadline, seq) tie order enforced by
-//     an internal heap rather than trusting OS timer wakeup order.
+//   - WallClock, the real-time driver: it maps wall time onto the
+//     virtual axis and runs each callback off one Go runtime timer, so
+//     the runtime's timer heap is the online event queue. It keeps no
+//     queue of its own and promises no order among coinciding
+//     deadlines; a server runs all its tenants on one WallClock.
 //   - Instance, one tenant's trust namespace: a decision scheme from the
 //     registry, a binary aggregation pipeline on a Clock, the
 //     base-station trust ledger (leach.Station) as the durable home of
@@ -33,8 +35,8 @@ import (
 // alias makes engine.Clock and aggregator.Clock interchangeable by
 // construction, not just structurally.
 //
-// Implementations must honour the ordering contract of
-// docs/DETERMINISM.md invariant 8: callbacks with coinciding deadlines
-// fire in the order they were scheduled. *sim.Kernel (virtual time) and
-// *WallClock (real time) are the two drivers.
+// *sim.Kernel (virtual time) and *WallClock (real time) are the two
+// drivers. Only the kernel orders callbacks with coinciding deadlines
+// (docs/DETERMINISM.md invariant 8); an Instance needs no order, because
+// its timer is a backstop that closes the window only if it is due.
 type Clock = aggregator.Clock

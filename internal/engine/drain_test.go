@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -8,13 +9,13 @@ import (
 	"github.com/tibfit/tibfit/internal/sim"
 )
 
-// stubInstance builds an instance on a stub wall clock whose OS timer is
-// never armed: windows close only through w.fire() or through the
+// stubInstance builds an instance on a fake clock whose timers never
+// wake on their own: windows close only through w.fire() or through the
 // instance's own entry-point drains. decided collects OnDecision calls, an
 // observer that does not itself drain.
-func stubInstance(t *testing.T, scheme string, tout sim.Duration, n int) (*Instance, *WallClock, func(float64), *[]Decision) {
+func stubInstance(t *testing.T, scheme string, tout sim.Duration, n int) (*Instance, *fakeClock, func(float64), *[]Decision) {
 	t.Helper()
-	w, advance := stubClock()
+	w, advance := newFakeClock()
 	var decided []Decision
 	inst, err := New(Config{
 		Scheme: scheme, Params: engineParams(), Tout: tout,
@@ -184,4 +185,22 @@ func TestDrainMatchesTimerExpiry(t *testing.T) {
 func key(d Decision) string {
 	return fmt.Sprintf("%d %t %b %b %v %v %b %b", d.Seq, d.Occurred, d.CTIFor, d.CTIAgainst,
 		d.Reporters, d.Silent, d.Trigger, d.Decided)
+}
+
+// TestReportManyCountsDecisions pins the decision count a batch returns:
+// it is read after the batch's own drain, so it includes the window the
+// batch closed and not the one the batch opened.
+func TestReportManyCountsDecisions(t *testing.T) {
+	inst, _, advance, _ := stubInstance(t, decision.SchemeTIBFIT, 5, 3)
+	if res := inst.ReportMany([]int{0}); res.Decisions != 0 {
+		t.Fatalf("first batch: Decisions = %d, want 0", res.Decisions)
+	}
+	advance(6)
+	if res := inst.ReportMany([]int{1, 2}); res.Accepted != 2 || res.Decisions != 1 {
+		t.Fatalf("batch after the deadline = %+v, want Accepted 2, Decisions 1", res)
+	}
+	inst.Close()
+	if res := inst.ReportMany([]int{1}); !errors.Is(res.Err, ErrClosed) || res.Decisions != 1 {
+		t.Fatalf("batch after Close = %+v, want ErrClosed, Decisions 1", res)
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"github.com/tibfit/tibfit/internal/aggregator"
 	"github.com/tibfit/tibfit/internal/core"
@@ -108,6 +109,9 @@ type BatchResult struct {
 	FirstErr int
 	// Err is the rejection at FirstErr: ErrUnknownNode or ErrClosed.
 	Err error
+	// Decisions is how many decisions the instance has made, read under
+	// the batch's lock, so a reply needs no second lock to report it.
+	Decisions uint64
 }
 
 // Instance is one tenant's online decision engine: a decision scheme
@@ -128,9 +132,11 @@ type BatchResult struct {
 type Instance struct {
 	clock   Clock
 	members []int // sorted copy of the population
-	// expire is the backstop timer callback, bound once: a method value
-	// built per window would allocate.
-	expire func()
+	// backstop is what each window's timer holds, and expire its
+	// callback, bound once: a method value built per window would
+	// allocate.
+	backstop *backstop
+	expire   func()
 
 	// mu guards everything below.
 	mu              sync.Mutex
@@ -172,7 +178,9 @@ func New(cfg Config) (*Instance, error) {
 		log:        make([]Decision, 0, logCap),
 	}
 	sort.Ints(in.members)
-	in.expire = in.expireDue
+	in.backstop = &backstop{}
+	in.backstop.in.Store(in)
+	in.expire = in.backstop.expire
 	in.agg, err = aggregator.NewBinary(aggregator.BinaryConfig{
 		Tout:    cfg.Tout,
 		Members: in.members,
@@ -195,9 +203,9 @@ func (c windowClock) AfterFunc(d sim.Duration, _ func()) { c.in.clock.AfterFunc(
 
 // lock takes the instance's lock and closes the window if its deadline
 // lies strictly before the clock's now; every entry point starts here. A
-// report stamped exactly at a deadline is not drained against: whether
-// it joins the closing window follows invariant 8's schedule order, as
-// on the sim kernel.
+// report stamped exactly at a deadline is not drained against: it joins
+// the closing window if it takes the lock before the backstop does (on
+// the sim kernel, if it was scheduled first; invariant 8).
 //
 //hot:path
 func (in *Instance) lock() {
@@ -217,6 +225,18 @@ func (in *Instance) expireDue() {
 	in.mu.Lock()
 	in.agg.CloseIfDue(in.clock.Now())
 	in.mu.Unlock()
+}
+
+// backstop points a window's timer at its instance until Close clears
+// it, so a timer armed for a far deadline does not keep a closed
+// instance, with its decision ring and trust ledger, reachable until it
+// wakes.
+type backstop struct{ in atomic.Pointer[Instance] }
+
+func (b *backstop) expire() {
+	if in := b.in.Load(); in != nil {
+		in.expireDue()
+	}
 }
 
 // recordDecision appends a completed window to the decision ring. It runs
@@ -273,14 +293,14 @@ func (in *Instance) Report(node int) error {
 // ReportMany ingests a batch — the bulk path the HTTP layer uses — under
 // one lock acquisition. Unknown nodes are skipped (the batch continues;
 // the serving layer returns partial accept); a closed instance rejects
-// the whole batch. The result carries the accepted count and the first
-// rejection.
+// the whole batch. The result carries the accepted count, the first
+// rejection and the decision count.
 //
 //hot:path
 func (in *Instance) ReportMany(nodes []int) BatchResult {
-	res := BatchResult{FirstErr: -1}
 	in.lock()
 	defer in.mu.Unlock()
+	res := BatchResult{FirstErr: -1, Decisions: in.seq}
 	if in.closed {
 		if len(nodes) > 0 {
 			res.FirstErr, res.Err = 0, ErrClosed
@@ -424,11 +444,13 @@ func (in *Instance) TrustTable() []TrustEntry {
 }
 
 // Close shuts the instance down: the open window dies, further reports
-// fail with ErrClosed, and a later timer finds nothing to close. Close
-// is idempotent. The clock is left to whoever created it.
+// fail with ErrClosed, and a pending timer no longer holds the instance
+// and finds nothing to close. Close is idempotent. The clock is left to
+// whoever created it.
 func (in *Instance) Close() {
 	in.mu.Lock()
 	in.closed = true
 	in.agg.Close()
 	in.mu.Unlock()
+	in.backstop.in.Store(nil)
 }

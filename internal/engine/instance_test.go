@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"math"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -150,7 +151,7 @@ func intsKey(ids []int) string {
 
 // TestEngineMatchesBatchSim feeds one seeded report stream through the
 // batch path (aggregator.Binary directly on a sim kernel) and through
-// engine.Instance on a stub-driven WallClock, and asserts both make
+// engine.Instance on a fake clock, and asserts both make
 // identical decisions and end with identical trust tables — for every
 // registered scheme. This is the refactor's payoff criterion: the
 // online engine is the batch pipeline, not a reimplementation.
@@ -188,10 +189,9 @@ func TestEngineMatchesBatchSim(t *testing.T) {
 			}
 			k.RunAll()
 
-			// Online: the same stream through an Instance on a stubbed
-			// wall clock, advanced to each arrival in order.
-			w, advance := stubClock()
-			defer w.Close()
+			// Online: the same stream through an Instance on a fake
+			// clock, advanced to each arrival in order.
+			w, advance := newFakeClock()
 			var online []flatDecision
 			inst, err := New(Config{
 				Scheme:  name,
@@ -296,8 +296,8 @@ func TestSameInstantOrderSimKernel(t *testing.T) {
 // joins the closing window; one after it opens the next.
 func TestSameInstantOrderWallClock(t *testing.T) {
 	const tout = sim.Duration(5)
-	build := func(t *testing.T) (*Instance, *WallClock, func(float64)) {
-		w, advance := stubClock()
+	build := func(t *testing.T) (*Instance, *fakeClock, func(float64)) {
+		w, advance := newFakeClock()
 		inst, err := New(Config{
 			Scheme: decision.SchemeTIBFIT, Params: engineParams(),
 			Tout: tout, Members: members(2), Clock: w,
@@ -491,6 +491,44 @@ func TestInstanceRejectsUnknownNodeAndClosed(t *testing.T) {
 	}
 	if _, err := inst.SealedSnapshot(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("closed snapshot: err = %v, want ErrClosed", err)
+	}
+}
+
+// TestClosedInstanceNotHeldByPendingBackstop closes an instance whose
+// window's backstop is armed about eleven days out on a real WallClock
+// that stays open, as a server's clock does when it drops one tenant.
+// The pending runtime timer must not keep the closed instance reachable.
+// The finalizer sits on the instance's member table, which nothing
+// outside the instance refers to: a finalizer on the instance itself
+// need not run, since the instance and its aggregator form a cycle.
+func TestClosedInstanceNotHeldByPendingBackstop(t *testing.T) {
+	clock := NewWallClock(time.Millisecond)
+	defer clock.Close()
+	collected := make(chan struct{})
+	func() {
+		inst, err := New(Config{
+			Scheme: decision.SchemeTIBFIT, Params: engineParams(),
+			Tout: 1e9, Members: members(64), Clock: clock,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := inst.Report(0); err != nil {
+			t.Fatal(err)
+		}
+		inst.Close()
+		runtime.SetFinalizer(&inst.members[0], func(*int) { close(collected) })
+	}()
+	for end := time.Now().Add(5 * time.Second); ; {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+		if time.Now().After(end) {
+			t.Fatal("the closed instance is still reachable from its pending backstop timer")
+		}
 	}
 }
 

@@ -41,7 +41,8 @@ var globalRandFuncs = map[string]bool{
 // nondetTimeExempt lists simulation packages allowed to touch the wall
 // clock: internal/trace stamps emitted trace records with real time for
 // operator convenience (the stamps are not simulation inputs);
-// internal/engine hosts the real-time WallClock driver (the batch path
+// internal/engine hosts the real-time WallClock driver, which reads
+// time.Now and arms runtime timers with time.AfterFunc (the batch path
 // never routes through it — the sim kernel is its own Clock); and
 // internal/serve measures request latency for the serving histograms.
 var nondetTimeExempt = map[string]bool{

@@ -11,14 +11,10 @@
 package serve
 
 import (
-	"errors"
 	"io"
 	"net/http"
 	"strconv"
 	"sync"
-	"time"
-
-	"github.com/tibfit/tibfit/internal/engine"
 )
 
 // batchScratch is the pooled per-request scratch of the line-format
@@ -107,22 +103,22 @@ func (b *batchScratch) parseNodes() (badAt int) {
 // the field order fixed by this function instead of struct tags.
 //
 //hot:path
-func (b *batchScratch) appendReply(accepted, rejected, firstErr int, decisions uint64, errMsg string) []byte {
+func (b *batchScratch) appendReply(r reportReply) []byte {
 	b.reply = b.reply[:0]
 	b.reply = append(b.reply, `{"accepted":`...)
-	b.reply = strconv.AppendInt(b.reply, int64(accepted), 10)
-	if rejected > 0 {
+	b.reply = strconv.AppendInt(b.reply, int64(r.Accepted), 10)
+	if r.Rejected > 0 {
 		b.reply = append(b.reply, `,"rejected":`...)
-		b.reply = strconv.AppendInt(b.reply, int64(rejected), 10)
+		b.reply = strconv.AppendInt(b.reply, int64(r.Rejected), 10)
 	}
 	b.reply = append(b.reply, `,"first_error_index":`...)
-	b.reply = strconv.AppendInt(b.reply, int64(firstErr), 10)
-	if errMsg != "" {
+	b.reply = strconv.AppendInt(b.reply, int64(r.FirstErrorIndex), 10)
+	if r.Error != "" {
 		b.reply = append(b.reply, `,"error":`...)
-		b.reply = strconv.AppendQuote(b.reply, errMsg)
+		b.reply = strconv.AppendQuote(b.reply, r.Error)
 	}
 	b.reply = append(b.reply, `,"decisions":`...)
-	b.reply = strconv.AppendUint(b.reply, decisions, 10)
+	b.reply = strconv.AppendUint(b.reply, r.Decisions, 10)
 	b.reply = append(b.reply, '}', '\n')
 	return b.reply
 }
@@ -154,30 +150,11 @@ func (s *Server) handleReportsBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "report batch is empty")
 		return
 	}
-	begin := time.Now()
-	res := t.inst.ReportMany(sc.nodes)
-	elapsed := time.Since(begin)
-	if res.Accepted > 0 {
-		perReport := float64(elapsed) / float64(res.Accepted)
-		s.histMu.Lock()
-		s.ingest.RecordN(perReport, uint64(res.Accepted))
-		s.histMu.Unlock()
-	}
-	if res.Err != nil && res.Accepted == 0 {
-		status := http.StatusBadRequest
-		if errors.Is(res.Err, engine.ErrClosed) {
-			status = http.StatusConflict
-		}
-		//lint:allow hotalloc error path: one response per rejected batch, never per report
-		writeError(w, status, "report %d of %d: %v", res.FirstErr, len(sc.nodes), res.Err)
+	reply, ok := s.reportBatch(w, t, sc.nodes)
+	if !ok {
 		return
 	}
-	errMsg := ""
-	if res.Err != nil {
-		errMsg = res.Err.Error()
-	}
-	reply := sc.appendReply(res.Accepted, len(sc.nodes)-res.Accepted, res.FirstErr, t.inst.DecisionCount(), errMsg)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(reply)
+	_, _ = w.Write(sc.appendReply(reply))
 }

@@ -1,8 +1,8 @@
 // Package serve is the HTTP layer of the online decision engine: JSON
 // report ingest, a pollable decision stream, live trust tables, and
 // sealed snapshot/restore, multiplexed over named tenants that each own
-// one engine.Instance (and therefore one trust namespace and one
-// wall-clock window pipeline).
+// one engine.Instance (and therefore one trust namespace and one window
+// pipeline), all on the server's one wall clock.
 //
 // The package is an http.Handler, not a binary: cmd/tibfit-serve mounts
 // it behind a listener and flags, the package benchmarks drive the
@@ -52,8 +52,8 @@ var ErrTenantExists = errors.New("tenant already exists")
 
 // Config configures a Server.
 type Config struct {
-	// Unit is the wall duration of one virtual time unit on tenant
-	// clocks; tenant Tout values are in these units. Zero means
+	// Unit is the wall duration of one virtual time unit on the server's
+	// clock; tenant Tout values are in these units. Zero means
 	// DefaultUnit (one millisecond).
 	Unit time.Duration
 }
@@ -114,27 +114,21 @@ func (c TenantConfig) withDefaults() TenantConfig {
 	return c
 }
 
-// tenant couples one instance with its wall clock and creation config.
+// tenant couples one instance with its creation config.
 type tenant struct {
 	name   string
 	cfg    TenantConfig
 	inst   *engine.Instance
-	clock  *engine.WallClock
 	serial uint64 // creation order, for stable listings
 }
 
-// close shuts the instance down, then the clock the server created for
-// it.
-func (t *tenant) close() {
-	t.inst.Close()
-	t.clock.Close()
-}
-
-// Server is the multi-tenant HTTP front end. All methods and the
-// handler are safe for concurrent use.
+// Server is the multi-tenant HTTP front end. Every tenant runs on the
+// server's one wall clock, so all decisions share one virtual time axis
+// counted from server start. All methods and the handler are safe for
+// concurrent use.
 type Server struct {
 	unit  time.Duration
-	start time.Time
+	clock *engine.WallClock
 
 	mu      sync.RWMutex
 	tenants map[string]*tenant
@@ -153,7 +147,7 @@ func NewServer(cfg Config) *Server {
 	}
 	return &Server{
 		unit:    unit,
-		start:   time.Now(),
+		clock:   engine.NewWallClock(unit),
 		tenants: make(map[string]*tenant),
 	}
 }
@@ -161,7 +155,7 @@ func NewServer(cfg Config) *Server {
 // Unit returns the wall duration of one virtual time unit.
 func (s *Server) Unit() time.Duration { return s.unit }
 
-// CreateTenant builds a tenant's engine instance on a fresh wall clock.
+// CreateTenant builds a tenant's engine instance on the server's clock.
 // It fails if the name is invalid, Nodes exceeds maxNodes, Shards is
 // neither 0 nor 1, the tenant already exists, or the config is rejected
 // by the engine (unknown scheme, bad parameters).
@@ -181,7 +175,6 @@ func (s *Server) CreateTenant(name string, cfg TenantConfig) error {
 	if _, ok := s.tenants[name]; ok {
 		return fmt.Errorf("serve: tenant %q: %w", name, ErrTenantExists)
 	}
-	clock := engine.NewWallClock(s.unit)
 	unitNS := float64(s.unit)
 	inst, err := engine.New(engine.Config{
 		Scheme: cfg.Scheme,
@@ -192,32 +185,31 @@ func (s *Server) CreateTenant(name string, cfg TenantConfig) error {
 		}},
 		Tout:    sim.Duration(cfg.Tout),
 		Members: cfg.Members,
-		Clock:   clock,
+		Clock:   s.clock,
 		OnDecision: func(d engine.Decision) {
-			lag := (float64(clock.Now()) - d.Decided) * unitNS
+			lag := (float64(s.clock.Now()) - d.Decided) * unitNS
 			s.histMu.Lock()
 			s.decide.Record(lag)
 			s.histMu.Unlock()
 		},
 	})
 	if err != nil {
-		clock.Close()
 		return err
 	}
 	s.serial++
-	s.tenants[name] = &tenant{name: name, cfg: cfg, inst: inst, clock: clock, serial: s.serial}
+	s.tenants[name] = &tenant{name: name, cfg: cfg, inst: inst, serial: s.serial}
 	return nil
 }
 
-// DropTenant closes and removes a tenant, and stops its clock. It
-// reports whether the tenant existed.
+// DropTenant closes and removes a tenant; its pending backstop timer
+// then finds nothing to close. It reports whether the tenant existed.
 func (s *Server) DropTenant(name string) bool {
 	s.mu.Lock()
 	t, ok := s.tenants[name]
 	delete(s.tenants, name)
 	s.mu.Unlock()
 	if ok {
-		t.close()
+		t.inst.Close()
 	}
 	return ok
 }
@@ -234,8 +226,8 @@ func (s *Server) Tenant(name string) (*engine.Instance, bool) {
 	return t.inst, true
 }
 
-// Close shuts every tenant down. The server stays usable (tenants can
-// be re-created); the daemon calls it once on the way out.
+// Close shuts every tenant down. The server and its clock stay usable
+// (tenants can be re-created); the daemon calls it once on the way out.
 func (s *Server) Close() {
 	s.mu.Lock()
 	tenants := make([]*tenant, 0, len(s.tenants))
@@ -246,7 +238,7 @@ func (s *Server) Close() {
 	s.mu.Unlock()
 	sort.Slice(tenants, func(i, j int) bool { return tenants[i].serial < tenants[j].serial })
 	for _, t := range tenants {
-		t.close()
+		t.inst.Close()
 	}
 }
 
@@ -353,7 +345,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	n := len(s.tenants)
 	s.mu.RUnlock()
 	writeJSON(w, http.StatusOK, metricsReply{
-		UptimeSeconds: time.Since(s.start).Seconds(),
+		UptimeSeconds: float64(s.clock.Now()) * s.unit.Seconds(),
 		UnitNS:        int64(s.unit),
 		Tenants:       n,
 		IngestNS:      ingest,
@@ -428,39 +420,43 @@ type reportReply struct {
 	Decisions       uint64 `json:"decisions"`
 }
 
-// ingestOutcome records a batch's wall cost amortized per accepted
-// report and renders the per-item outcome: 200 with partial-accept
-// bookkeeping when anything landed, 400 (409 when the tenant is closing)
-// when nothing did.
+// reportBatch hands a batch to the tenant's instance and records its wall
+// cost amortized per accepted report; both ingest wires end here. When
+// nothing landed it writes the 400 (409 when the tenant is closing) and
+// reports false; otherwise the caller renders the returned 200
+// partial-accept reply in its wire's encoding.
 //
 //hot:path
-func (s *Server) ingestOutcome(w http.ResponseWriter, t *tenant, res engine.BatchResult, total int, elapsed time.Duration) {
+func (s *Server) reportBatch(w http.ResponseWriter, t *tenant, nodes []int) (reportReply, bool) {
+	begin := time.Now()
+	res := t.inst.ReportMany(nodes)
+	elapsed := time.Since(begin)
 	if res.Accepted > 0 {
 		perReport := float64(elapsed) / float64(res.Accepted)
 		s.histMu.Lock()
 		s.ingest.RecordN(perReport, uint64(res.Accepted))
 		s.histMu.Unlock()
 	}
-	if res.Err != nil && res.Accepted == 0 {
+	reply := reportReply{
+		Accepted:        res.Accepted,
+		Rejected:        len(nodes) - res.Accepted,
+		FirstErrorIndex: res.FirstErr,
+		Decisions:       res.Decisions,
+	}
+	if res.Err == nil {
+		return reply, true
+	}
+	if res.Accepted == 0 {
 		status := http.StatusBadRequest
 		if errors.Is(res.Err, engine.ErrClosed) {
 			status = http.StatusConflict
 		}
 		//lint:allow hotalloc error path: one response per rejected batch, never per report
-		writeError(w, status, "report %d of %d: %v", res.FirstErr, total, res.Err)
-		return
+		writeError(w, status, "report %d of %d: %v", res.FirstErr, len(nodes), res.Err)
+		return reply, false
 	}
-	reply := reportReply{
-		Accepted:        res.Accepted,
-		Rejected:        total - res.Accepted,
-		FirstErrorIndex: -1,
-		Decisions:       t.inst.DecisionCount(),
-	}
-	if res.Err != nil {
-		reply.FirstErrorIndex = res.FirstErr
-		reply.Error = res.Err.Error()
-	}
-	writeJSON(w, http.StatusOK, reply)
+	reply.Error = res.Err.Error()
+	return reply, true
 }
 
 // handleReports is the JSON ingest path: decode the batch, hand it to
@@ -483,9 +479,9 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "report batch is empty")
 		return
 	}
-	begin := time.Now()
-	res := t.inst.ReportMany(req.Nodes)
-	s.ingestOutcome(w, t, res, len(req.Nodes), time.Since(begin))
+	if reply, ok := s.reportBatch(w, t, req.Nodes); ok {
+		writeJSON(w, http.StatusOK, reply)
+	}
 }
 
 // decisionsReply is the decision-stream page: decisions after ?since,

@@ -165,6 +165,47 @@ func TestServeDecisionLag(t *testing.T) {
 	}
 }
 
+// TestServeDropTenantWithPendingBackstop drops a tenant whose window's
+// backstop timer is still pending on the server's clock. Once the
+// deadline has passed, the timer must find the closed instance and do
+// nothing: no decision is published and neither histogram moves. The
+// shared clock keeps running: a later tenant's backstop, with no entry
+// point called, still publishes its decision.
+func TestServeDropTenantWithPendingBackstop(t *testing.T) {
+	s, ts := testServer(t)
+	mustCreate(t, ts, "alpha", `{"nodes":3,"tout":20000}`)
+	if status, body := do(t, http.MethodPost, ts.URL+"/v1/tenants/alpha/reports", []byte(`{"nodes":[0]}`)); status != http.StatusOK {
+		t.Fatalf("ingest: HTTP %d: %s", status, body)
+	}
+	inst, _ := s.Tenant("alpha")
+	ingest, decide := s.LatencySummaries()
+	if ingest.Count != 1 || decide.Count != 0 {
+		t.Fatalf("before the drop: ingest %+v, decide %+v, want one report and no decision", ingest, decide)
+	}
+	if !s.DropTenant("alpha") {
+		t.Fatal("DropTenant(alpha) = false")
+	}
+	time.Sleep(60 * time.Millisecond) // three times past the 20 ms deadline
+	if n := inst.DecisionCount(); n != 0 {
+		t.Fatalf("dropped tenant published %d decisions, want 0", n)
+	}
+	if gotIngest, gotDecide := s.LatencySummaries(); gotIngest != ingest || gotDecide != decide {
+		t.Fatalf("histograms moved after the drop: ingest %+v -> %+v, decide %+v -> %+v",
+			ingest, gotIngest, decide, gotDecide)
+	}
+
+	mustCreate(t, ts, "beta", `{"nodes":3,"tout":1000}`)
+	do(t, http.MethodPost, ts.URL+"/v1/tenants/beta/reports", []byte(`{"nodes":[1]}`))
+	for end := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, decide := s.LatencySummaries(); decide.Count == 1 {
+			break
+		}
+		if time.Now().After(end) {
+			t.Fatal("tenant beta's backstop never published its decision")
+		}
+	}
+}
+
 func TestServeSnapshotRoundTrip(t *testing.T) {
 	s, ts := testServer(t)
 	mustCreate(t, ts, "alpha", `{"nodes":4,"tout":50}`)
