@@ -102,3 +102,52 @@ func BenchmarkSnapshotRoundtrip(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkNewInstance prices creating one 16-member tenant, the
+// serve-decide shape: B/op is what a tenant costs before it has decided
+// anything.
+func BenchmarkNewInstance(b *testing.B) {
+	kernel := sim.New()
+	ids := members(16)
+	params := decision.Params{Trust: core.Params{Lambda: 0.25, FaultRate: 0.1}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := New(Config{
+			Scheme: decision.SchemeTIBFIT, Params: params, Tout: 1, Members: ids, Clock: kernel,
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecisionsSince reads a one-decision page off a full default
+// ring of a 16-member tenant: a poller that keeps up, as serve-decide's
+// do. The page renders both sides of the vote from the ring's bitsets.
+func BenchmarkDecisionsSince(b *testing.B) {
+	kernel := sim.New()
+	inst, err := New(Config{
+		Scheme:  decision.SchemeTIBFIT,
+		Params:  decision.Params{Trust: core.Params{Lambda: 0.25, FaultRate: 0.1}},
+		Tout:    1,
+		Members: members(16),
+		Clock:   kernel,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	batch := members(12)
+	for i := 0; i < defaultDecisionLog; i++ {
+		if res := inst.ReportMany(batch); res.Err != nil {
+			b.Fatal(res.Err)
+		}
+		kernel.RunAll()
+	}
+	last := inst.DecisionCount()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if ds := inst.DecisionsSince(last - 1); len(ds) != 1 {
+			b.Fatalf("DecisionsSince(%d) returned %d decisions, want 1", last-1, len(ds))
+		}
+	}
+}

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -31,8 +32,13 @@ var ErrSnapshotStale = errors.New("engine: snapshot version already restored")
 
 // defaultDecisionLog is the ring capacity for the decision stream when
 // Config.DecisionLog is zero: enough for a poller a few seconds behind a
-// saturated ingest, small enough to be irrelevant in memory.
+// saturated ingest. The ring grows to it on demand; once full it holds
+// 4096 × (48 + 16·⌈members/64⌉) bytes, 256 KiB for a 16-member tenant.
 const defaultDecisionLog = 4096
+
+// minDecisionLog is the ring's first allocation; it doubles from there
+// up to its cap.
+const minDecisionLog = 8
 
 // snapshotHandoff is the pseudo head ID the instance uses when asking
 // its station to seal state. Real head IDs are non-negative node IDs;
@@ -57,8 +63,12 @@ type Config struct {
 	// *sim.Kernel for replay and equivalence testing.
 	Clock Clock
 	// DecisionLog bounds the in-memory decision ring exposed through
-	// DecisionsSince. Zero means a default; the ring drops the oldest
-	// entries once full (pollers that fall further behind miss them).
+	// DecisionPage. Zero means a default of 4096; the ring drops the
+	// oldest entries once full (pollers that fall further behind miss
+	// them, and DecisionPage's First says how many). The ring grows on
+	// demand, so a fresh instance holds none of it, and each retained
+	// decision costs 48 + 16·⌈members/64⌉ bytes: a 48-byte record and
+	// one bit per member on each side of the vote, in 64-bit words.
 	DecisionLog int
 	// OnDecision, when non-nil, observes every decision as it is made.
 	// Calls run under the instance's lock (never concurrent); the
@@ -83,7 +93,8 @@ type Decision struct {
 	Occurred   bool    `json:"occurred"`
 	CTIFor     float64 `json:"cti_for"`
 	CTIAgainst float64 `json:"cti_against"`
-	// Reporters and Silent are the two sides of the vote, sorted by ID.
+	// Reporters and Silent are the two sides of the vote, sorted by ID;
+	// an empty side is nil (JSON null). Isolated members are on neither.
 	Reporters []int `json:"reporters"`
 	Silent    []int `json:"silent"`
 }
@@ -137,6 +148,10 @@ type Instance struct {
 	// allocate.
 	backstop *backstop
 	expire   func()
+	// logCap is the decision ring's capacity (Config.DecisionLog), and
+	// voteWords the 64-bit words in one side's bitset over members.
+	logCap    int
+	voteWords int
 
 	// mu guards everything below.
 	mu              sync.Mutex
@@ -144,11 +159,16 @@ type Instance struct {
 	agg             *aggregator.Binary
 	station         *leach.Station
 	restoredVersion uint64
-	log             []Decision
-	seq             uint64
-	onDecision      func(Decision)
-	reports         uint64
-	closed          bool
+	// The decision ring: log[(seq-1) % logCap] holds decision seq, and
+	// votes holds its two member bitsets at votes[slot*2*voteWords:].
+	// Both grow on demand up to logCap entries; their backing arrays
+	// hold no pointers, so the GC never scans them.
+	log        []ringEntry
+	votes      []uint64
+	seq        uint64
+	onDecision func(Decision)
+	reports    uint64
+	closed     bool
 }
 
 // New builds an instance. The scheme is constructed through the decision
@@ -175,7 +195,8 @@ func New(cfg Config) (*Instance, error) {
 		scheme:     scheme,
 		station:    station,
 		onDecision: cfg.OnDecision,
-		log:        make([]Decision, 0, logCap),
+		logCap:     logCap,
+		voteWords:  (len(cfg.Members) + 63) / 64,
 	}
 	sort.Ints(in.members)
 	in.backstop = &backstop{}
@@ -239,28 +260,134 @@ func (b *backstop) expire() {
 	}
 }
 
-// recordDecision appends a completed window to the decision ring. It runs
-// inside a window close, with the instance's lock held.
+// ringEntry is one retained decision without its vote, which lives in
+// the instance's votes bitsets. It holds no pointers.
+type ringEntry struct {
+	seq        uint64
+	trigger    float64
+	decided    float64
+	ctiFor     float64
+	ctiAgainst float64
+	occurred   bool
+}
+
+// recordDecision retains a completed window in the decision ring and
+// hands it to OnDecision. It runs inside a window close, with the
+// instance's lock held. core.DecideBinary returns fresh sorted slices,
+// so OnDecision receives them uncopied; an empty side is passed as nil,
+// as the ring renders it.
 func (in *Instance) recordDecision(o aggregator.BinaryOutcome) {
 	in.seq++
-	d := Decision{
-		Seq:        in.seq,
-		Trigger:    float64(o.TriggerTime),
-		Decided:    float64(o.DecideTime),
-		Occurred:   o.Decision.Occurred,
-		CTIFor:     o.Decision.CTIFor,
-		CTIAgainst: o.Decision.CTIAgainst,
-		Reporters:  append([]int(nil), o.Decision.Reporters...),
-		Silent:     append([]int(nil), o.Decision.Silent...),
+	slot := in.slot(in.seq)
+	if slot == len(in.log) {
+		in.growRing()
 	}
-	if len(in.log) < cap(in.log) {
-		in.log = append(in.log, d)
-	} else {
-		in.log[int((d.Seq-1)%uint64(cap(in.log)))] = d
+	e := ringEntry{
+		seq:        in.seq,
+		trigger:    float64(o.TriggerTime),
+		decided:    float64(o.DecideTime),
+		ctiFor:     o.Decision.CTIFor,
+		ctiAgainst: o.Decision.CTIAgainst,
+		occurred:   o.Decision.Occurred,
 	}
+	in.log[slot] = e
+	vote := in.vote(slot)
+	clear(vote)
+	markMembers(vote[:in.voteWords], in.members, o.Decision.Reporters)
+	markMembers(vote[in.voteWords:], in.members, o.Decision.Silent)
 	if in.onDecision != nil {
-		in.onDecision(d)
+		in.onDecision(e.decision(nilIfEmpty(o.Decision.Reporters), nilIfEmpty(o.Decision.Silent)))
 	}
+}
+
+// decision is the entry as the decision stream exposes it, with the
+// two sides of its vote.
+func (e ringEntry) decision(reporters, silent []int) Decision {
+	return Decision{
+		Seq:        e.seq,
+		Trigger:    e.trigger,
+		Decided:    e.decided,
+		Occurred:   e.occurred,
+		CTIFor:     e.ctiFor,
+		CTIAgainst: e.ctiAgainst,
+		Reporters:  reporters,
+		Silent:     silent,
+	}
+}
+
+// growRing extends the ring by one slot. When the backing arrays are
+// full it doubles them, clamped exactly at logCap. The new arrays are
+// made at that size, not appended to: past 256 elements append (and
+// slices.Grow) grows by steps of 1.25×, so doubling 2048 slots to 4096
+// would allocate 4732.
+func (in *Instance) growRing() {
+	n := len(in.log)
+	if n == cap(in.log) {
+		size := min(max(2*n, minDecisionLog), in.logCap)
+		log := make([]ringEntry, n, size)
+		copy(log, in.log)
+		votes := make([]uint64, len(in.votes), 2*in.voteWords*size)
+		copy(votes, in.votes)
+		in.log, in.votes = log, votes
+	}
+	in.log = in.log[:n+1]
+	in.votes = in.votes[:(n+1)*2*in.voteWords]
+}
+
+// slot returns the ring slot of decision seq.
+func (in *Instance) slot(seq uint64) int { return int((seq - 1) % uint64(in.logCap)) }
+
+// vote returns the two bitsets of ring slot: reporters, then silent.
+func (in *Instance) vote(slot int) []uint64 {
+	w := 2 * in.voteWords
+	return in.votes[slot*w : (slot+1)*w : (slot+1)*w]
+}
+
+// markMembers sets the bit of each of ids' positions in members. Both
+// are sorted ascending and ids is a sub-multiset of members (the
+// aggregator builds both sides from the member list), so one merged pass
+// finds every position, a repeated ID taking the next repeated member.
+func markMembers(set []uint64, members, ids []int) {
+	i := 0
+	for _, id := range ids {
+		for i < len(members) && members[i] < id {
+			i++
+		}
+		if i < len(members) && members[i] == id {
+			set[i/64] |= 1 << (i % 64)
+			i++
+		}
+	}
+}
+
+// renderSide appends the members whose bits are set in set, in
+// ascending order, to buf, and returns buf and the appended IDs as a
+// full slice of their own (nil when none is set).
+func renderSide(buf []int, set []uint64, members []int) ([]int, []int) {
+	start := len(buf)
+	for w, word := range set {
+		for word != 0 {
+			buf = append(buf, members[w*64+bits.TrailingZeros64(word)])
+			word &= word - 1
+		}
+	}
+	return buf, nilIfEmpty(buf[start:len(buf):len(buf)])
+}
+
+// countMembers returns how many bits are set.
+func countMembers(set []uint64) int {
+	n := 0
+	for _, word := range set {
+		n += bits.OnesCount64(word)
+	}
+	return n
+}
+
+func nilIfEmpty(ids []int) []int {
+	if len(ids) == 0 {
+		return nil
+	}
+	return ids
 }
 
 // isMember reports whether node is in the instance's population.
@@ -371,29 +498,53 @@ func (in *Instance) RestoreSealed(blob []byte) error {
 	return nil
 }
 
-// DecisionsSince returns decisions with Seq > since, oldest first. The
-// ring is bounded (Config.DecisionLog): a poller more than the ring
-// capacity behind silently misses the overwritten entries and should
-// resume from the first Seq it receives.
-func (in *Instance) DecisionsSince(since uint64) []Decision {
+// DecisionPage is one read of the decision stream, taken under one
+// lock acquisition.
+type DecisionPage struct {
+	// Decisions are the retained decisions with Seq > since, oldest
+	// first; nil when there are none.
+	Decisions []Decision
+	// First is the oldest seq the ring still holds, or Latest+1 when it
+	// holds none. A poller whose since+1 < First missed First−since−1
+	// decisions, overwritten once the ring (Config.DecisionLog) was full.
+	First uint64
+	// Latest is the instance's last seq, the point to resume from.
+	Latest uint64
+}
+
+// DecisionPage returns the decisions after since, with the ring's first
+// retained seq and the last seq, all read under the same lock. Each
+// page renders its decisions' member IDs from the ring's bitsets into
+// one shared backing array.
+func (in *Instance) DecisionPage(since uint64) DecisionPage {
 	in.lock()
 	defer in.mu.Unlock()
+	first := in.seq - uint64(len(in.log)) + 1
+	page := DecisionPage{First: first, Latest: in.seq}
 	if in.seq <= since {
-		return nil
+		return page
 	}
-	first := uint64(1)
-	if cap(in.log) > 0 && in.seq > uint64(cap(in.log)) {
-		first = in.seq - uint64(cap(in.log)) + 1
+	from := max(first, since+1)
+	ids := 0
+	for s := from; s <= in.seq; s++ {
+		ids += countMembers(in.vote(in.slot(s)))
 	}
-	if since+1 > first {
-		first = since + 1
+	page.Decisions = make([]Decision, in.seq-from+1)
+	buf := make([]int, 0, ids)
+	for i := range page.Decisions {
+		slot := in.slot(from + uint64(i))
+		vote := in.vote(slot)
+		var reporters, silent []int
+		buf, reporters = renderSide(buf, vote[:in.voteWords], in.members)
+		buf, silent = renderSide(buf, vote[in.voteWords:], in.members)
+		page.Decisions[i] = in.log[slot].decision(reporters, silent)
 	}
-	out := make([]Decision, 0, in.seq-first+1)
-	for s := first; s <= in.seq; s++ {
-		out = append(out, in.log[int((s-1)%uint64(cap(in.log)))])
-	}
-	return out
+	return page
 }
+
+// DecisionsSince returns the retained decisions with Seq > since, oldest
+// first: DecisionPage without its bounds.
+func (in *Instance) DecisionsSince(since uint64) []Decision { return in.DecisionPage(since).Decisions }
 
 // DecisionCount returns how many decisions the instance has made.
 func (in *Instance) DecisionCount() uint64 {

@@ -485,9 +485,12 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 }
 
 // decisionsReply is the decision-stream page: decisions after ?since,
-// plus the latest sequence number to resume from.
+// the oldest seq the tenant still retains, and the latest sequence
+// number to resume from. A poller whose since+1 < first missed
+// first−since−1 decisions to the bounded ring.
 type decisionsReply struct {
 	Decisions []engine.Decision `json:"decisions"`
+	First     uint64            `json:"first"`
 	Latest    uint64            `json:"latest"`
 }
 
@@ -505,20 +508,13 @@ func (s *Server) handleDecisions(w http.ResponseWriter, r *http.Request) {
 		}
 		since = parsed
 	}
-	ds := t.inst.DecisionsSince(since)
-	var latest uint64
-	if n := len(ds); n > 0 {
-		latest = ds[n-1].Seq
-	} else {
-		// An empty page resumes from the tenant's last seq, never past
-		// it. Decisions made after the page was read sit above since, so
-		// a count that has passed since still resumes from since.
-		latest = min(since, t.inst.DecisionCount())
+	// One locked read: an empty page resumes from the tenant's last seq,
+	// never past it.
+	page := t.inst.DecisionPage(since)
+	if page.Decisions == nil {
+		page.Decisions = []engine.Decision{}
 	}
-	if ds == nil {
-		ds = []engine.Decision{}
-	}
-	writeJSON(w, http.StatusOK, decisionsReply{Decisions: ds, Latest: latest})
+	writeJSON(w, http.StatusOK, decisionsReply{Decisions: page.Decisions, First: page.First, Latest: page.Latest})
 }
 
 func (s *Server) handleTrust(w http.ResponseWriter, r *http.Request) {
