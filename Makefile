@@ -65,11 +65,14 @@ bench:
 bench-kernel:
 	$(GO) test -run '^$$' -bench 'SchedulerChurn|SkewedHorizon' ./internal/sim/
 
-# CPU+heap profiles of a large tibfit-net run, ready for `go tool pprof`.
+# CPU+heap profiles of one million-node field campaign (BenchmarkRunField1M:
+# 10k clusters, 3 events), where population set-up — nodes, rng
+# streams, election, clustering, trust snapshots — dominates; ready for
+# `go tool pprof`. go test also leaves the experiment.test binary behind.
 profile:
-	$(GO) run ./cmd/tibfit-net -nodes 100 -events 400 -rounds 8 \
-		-cpuprofile cpu.out -memprofile mem.out
-	@echo "wrote cpu.out and mem.out; inspect with: go tool pprof cpu.out"
+	$(GO) test -run '^$$' -bench '^BenchmarkRunField1M$$' -benchtime 1x \
+		-cpuprofile cpu.out -memprofile mem.out ./internal/experiment/
+	@echo "wrote cpu.out and mem.out; inspect with: go tool pprof experiment.test cpu.out"
 
 # Regenerate every paper figure's data files into figures/.
 figures:

@@ -169,7 +169,7 @@ func run(args []string, out *os.File) error {
 		if i < nFaulty {
 			kind = node.Level0
 		}
-		n, err := node.New(i, p, kind, nodeCfg, root.Split(fmt.Sprint("node", i)))
+		n, err := node.New(i, p, kind, &nodeCfg, root.Split(fmt.Sprint("node", i)))
 		if err != nil {
 			return err
 		}

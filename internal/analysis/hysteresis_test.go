@@ -82,7 +82,7 @@ func TestHysteresisMatchesNodeSimulation(t *testing.T) {
 		UpperTI:     upper,
 		Trust:       core.Params{Lambda: lambda, FaultRate: fr},
 	}
-	n := node.MustNew(1, geo.Point{}, node.Level1, cfg, rng.New(1))
+	n := node.MustNew(1, geo.Point{}, node.Level1, &cfg, rng.New(1))
 	src := rng.New(2)
 
 	const events = 200000

@@ -203,3 +203,48 @@ func TestConformanceDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestConformanceRestoreNilIsEmpty pins what a station's member-filtered
+// export relies on: it returns nil when it holds none of a cluster's
+// records, so every stateful scheme must read Restore(nil) exactly as
+// Restore of an empty map — all prior state dropped, every node back to
+// full default trust.
+func TestConformanceRestoreNilIsEmpty(t *testing.T) {
+	for _, name := range Names() {
+		var restored [2]Scheme
+		for i, snap := range []map[int]core.Record{nil, {}} {
+			s, err := New(name, conformanceParams())
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, ok := s.(Stateful)
+			if !ok {
+				continue
+			}
+			for _, v := range verdictSequence(60) {
+				s.Judge(v.node, v.correct)
+			}
+			st.Restore(snap)
+			restored[i] = s
+		}
+		a, b := restored[0], restored[1]
+		if a == nil {
+			continue
+		}
+		if sa, sb := a.(Stateful).Snapshot(), b.(Stateful).Snapshot(); len(sa) != 0 || len(sb) != 0 {
+			t.Fatalf("%s: restore left records behind: nil → %v, empty → %v", name, sa, sb)
+		}
+		for _, v := range verdictSequence(40) {
+			a.Judge(v.node, v.correct)
+			b.Judge(v.node, v.correct)
+		}
+		for id := 0; id < 7; id++ {
+			if a.TI(id) != b.TI(id) || a.Weight(id) != b.Weight(id) || a.Isolated(id) != b.Isolated(id) {
+				t.Fatalf("%s: Restore(nil) and Restore(empty) disagree on node %d", name, id)
+			}
+		}
+		if !reflect.DeepEqual(a.(Stateful).Snapshot(), b.(Stateful).Snapshot()) {
+			t.Fatalf("%s: snapshots diverged after Restore(nil) vs Restore(empty)", name)
+		}
+	}
+}

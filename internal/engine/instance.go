@@ -502,21 +502,23 @@ func (in *Instance) RestoreSealed(blob []byte) error {
 // lock acquisition.
 type DecisionPage struct {
 	// Decisions are the retained decisions with Seq > since, oldest
-	// first; nil when there are none.
+	// first, at most the page's limit of them; nil when there are none.
 	Decisions []Decision
 	// First is the oldest seq the ring still holds, or Latest+1 when it
 	// holds none. A poller whose since+1 < First missed First−since−1
 	// decisions, overwritten once the ring (Config.DecisionLog) was full.
 	First uint64
-	// Latest is the instance's last seq, the point to resume from.
+	// Latest is the instance's last seq. A page cut short by its limit
+	// ends before it, and the poller resumes from the page's last seq.
 	Latest uint64
 }
 
-// DecisionPage returns the decisions after since, with the ring's first
-// retained seq and the last seq, all read under the same lock. Each
-// page renders its decisions' member IDs from the ring's bitsets into
-// one shared backing array.
-func (in *Instance) DecisionPage(since uint64) DecisionPage {
+// DecisionPage returns the oldest decisions after since, at most limit of
+// them (every one when limit <= 0), with the ring's first retained seq
+// and the last seq, all read under the same lock. Each page renders its
+// decisions' member IDs from the ring's bitsets into one shared backing
+// array.
+func (in *Instance) DecisionPage(since uint64, limit int) DecisionPage {
 	in.lock()
 	defer in.mu.Unlock()
 	first := in.seq - uint64(len(in.log)) + 1
@@ -525,11 +527,15 @@ func (in *Instance) DecisionPage(since uint64) DecisionPage {
 		return page
 	}
 	from := max(first, since+1)
+	to := in.seq
+	if limit > 0 && to-from >= uint64(limit) {
+		to = from + uint64(limit) - 1
+	}
 	ids := 0
-	for s := from; s <= in.seq; s++ {
+	for s := from; s <= to; s++ {
 		ids += countMembers(in.vote(in.slot(s)))
 	}
-	page.Decisions = make([]Decision, in.seq-from+1)
+	page.Decisions = make([]Decision, to-from+1)
 	buf := make([]int, 0, ids)
 	for i := range page.Decisions {
 		slot := in.slot(from + uint64(i))
@@ -542,9 +548,11 @@ func (in *Instance) DecisionPage(since uint64) DecisionPage {
 	return page
 }
 
-// DecisionsSince returns the retained decisions with Seq > since, oldest
-// first: DecisionPage without its bounds.
-func (in *Instance) DecisionsSince(since uint64) []Decision { return in.DecisionPage(since).Decisions }
+// DecisionsSince returns every retained decision with Seq > since, oldest
+// first: an unlimited DecisionPage without its bounds.
+func (in *Instance) DecisionsSince(since uint64) []Decision {
+	return in.DecisionPage(since, 0).Decisions
+}
 
 // DecisionCount returns how many decisions the instance has made.
 func (in *Instance) DecisionCount() uint64 {

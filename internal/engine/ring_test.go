@@ -139,7 +139,7 @@ func renderCase(t *testing.T, ids []int, ring int, windows [][]int) []Decision {
 			t.Fatal(res.Err)
 		}
 		advance(float64(2*i) + 1.5)
-		page := inst.DecisionPage(0)
+		page := inst.DecisionPage(0, 0)
 		held := stream[max(0, len(stream)-capacity):]
 		if !reflect.DeepEqual(page.Decisions, held) {
 			t.Fatalf("after window %d: DecisionsSince(0) =\n%+v\nOnDecision stream tail =\n%+v", i, page.Decisions, held)

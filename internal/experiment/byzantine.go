@@ -192,7 +192,7 @@ func runByzantineOnce(cfg ByzantineConfig, seed int64) (ByzantineResult, error) 
 	positions := workload.GridPlacement(area, cfg.Nodes)
 	nodes := make([]*node.Node, len(positions))
 	for i, p := range positions {
-		n, err := node.New(i, p, node.Correct, nodeCfg, root.Split(fmt.Sprintf("node-%d", i)))
+		n, err := node.New(i, p, node.Correct, &nodeCfg, root.Split(fmt.Sprintf("node-%d", i)))
 		if err != nil {
 			return ByzantineResult{}, err
 		}

@@ -98,7 +98,40 @@ func RunField(cfg FieldConfig) (FieldResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return FieldResult{}, err
 	}
-	cfg = cfg.withDefaults()
+	f, err := newField(cfg.withDefaults())
+	if err != nil {
+		return FieldResult{}, err
+	}
+	f.kernel.RunAll()
+
+	detected := 0
+	for i := range f.locs {
+		if f.net.DetectedNear(f.locs[i], f.times[i], 2*f.rError) {
+			detected++
+		}
+	}
+	return FieldResult{
+		Nodes:        cfg.Nodes,
+		Heads:        len(f.net.Heads()),
+		Detected:     float64(detected) / float64(cfg.Events),
+		Declarations: len(f.net.Declared()),
+	}, nil
+}
+
+// field is one field campaign after set-up: the population placed, the
+// network elected and clustered, and every event scheduled on the
+// kernel, with nothing run yet.
+type field struct {
+	kernel *sim.Kernel
+	net    *network.Network
+	locs   []geo.Point
+	times  []sim.Time
+	rError float64
+}
+
+// newField builds a validated, defaulted campaign up to the point where
+// the kernel would start.
+func newField(cfg FieldConfig) (*field, error) {
 	kernel := sim.New()
 	root := rng.New(cfg.Seed)
 	tr := trace.New()
@@ -125,41 +158,33 @@ func RunField(cfg FieldConfig) (FieldResult, error) {
 	positions := workload.UniformPlacement(area, cfg.Nodes, root.Split("placement"))
 	nodes := make([]*node.Node, len(positions))
 	for i, p := range positions {
-		n, err := node.New(i, p, node.Correct, nodeCfg, root.Split(fmt.Sprintf("node-%d", i)))
+		n, err := node.New(i, p, node.Correct, &nodeCfg, root.Split(fmt.Sprintf("node-%d", i)))
 		if err != nil {
-			return FieldResult{}, err
+			return nil, err
 		}
 		nodes[i] = n
 	}
 	net, err := network.New(netCfg, kernel, channel, nodes, root.Split("net"), tr)
 	if err != nil {
-		return FieldResult{}, err
+		return nil, err
 	}
 
+	f := &field{
+		kernel: kernel,
+		net:    net,
+		locs:   make([]geo.Point, cfg.Events),
+		times:  make([]sim.Time, cfg.Events),
+		rError: netCfg.RError,
+	}
 	period := 5 * cfg.Tout
 	esrc := root.Split("events")
-	locs := make([]geo.Point, cfg.Events)
-	times := make([]sim.Time, cfg.Events)
 	for i := 0; i < cfg.Events; i++ {
 		i := i
-		locs[i] = geo.Point{X: esrc.Uniform(0, side), Y: esrc.Uniform(0, side)}
-		times[i] = sim.Time(float64(i+1) * period)
-		if _, err := kernel.At(times[i], func() { net.InjectEvent(i, locs[i]) }); err != nil {
-			return FieldResult{}, err
+		f.locs[i] = geo.Point{X: esrc.Uniform(0, side), Y: esrc.Uniform(0, side)}
+		f.times[i] = sim.Time(float64(i+1) * period)
+		if _, err := kernel.At(f.times[i], func() { net.InjectEvent(i, f.locs[i]) }); err != nil {
+			return nil, err
 		}
 	}
-	kernel.RunAll()
-
-	detected := 0
-	for i := range locs {
-		if net.DetectedNear(locs[i], times[i], 2*netCfg.RError) {
-			detected++
-		}
-	}
-	return FieldResult{
-		Nodes:        cfg.Nodes,
-		Heads:        len(net.Heads()),
-		Detected:     float64(detected) / float64(cfg.Events),
-		Declarations: len(net.Declared()),
-	}, nil
+	return f, nil
 }

@@ -1,6 +1,9 @@
 package experiment
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // TestRunFieldSmoke runs the default field-scale campaign and checks the
 // structural outcomes: the election hit its cluster target and injected
@@ -44,6 +47,30 @@ func TestRunFieldDeterministic(t *testing.T) {
 	}
 }
 
+// TestFieldDeclaredInOrder pins what DetectedNear's binary search relies
+// on: a field campaign appends its declarations in kernel order, so
+// Declared() times never decrease.
+func TestFieldDeclaredInOrder(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		cfg := DefaultField()
+		cfg.Seed = seed
+		f, err := newField(cfg.withDefaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.kernel.RunAll()
+		decl := f.net.Declared()
+		if len(decl) == 0 {
+			t.Fatalf("seed %d: no declarations", seed)
+		}
+		for i := 1; i < len(decl); i++ {
+			if decl[i].Time < decl[i-1].Time {
+				t.Fatalf("seed %d: declaration %d at %v after %v", seed, i, decl[i].Time, decl[i-1].Time)
+			}
+		}
+	}
+}
+
 func TestFieldConfigValidate(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -62,5 +89,45 @@ func TestFieldConfigValidate(t *testing.T) {
 	}
 	if err := DefaultField().Validate(); err != nil {
 		t.Errorf("default config invalid: %v", err)
+	}
+}
+
+// TestFieldRetainedBytes pins what a field node costs to hold once the
+// campaign is set up: the live heap a 20k-node field retains after
+// newField, measured after a GC on both sides, per node. One Config per
+// population, no empty per-cluster snapshot maps, math/rand wrappers
+// made only on a stream's first draw and one shared ID index keep it
+// near 280 bytes and 2.1 objects a node; with a Config copy in every
+// node, eager wrappers, empty snapshot maps and a second index it was
+// 530 bytes and 3.2 objects.
+func TestFieldRetainedBytes(t *testing.T) {
+	const (
+		nodes      = 20_000
+		maxBytes   = 360
+		maxObjects = 2.6
+	)
+	cfg := FieldConfig{Nodes: nodes, Events: 1, Seed: 1}.withDefaults()
+	// Warm the registries and lazily built tables outside the measurement.
+	if _, err := newField(FieldConfig{Nodes: 400, Events: 1, Seed: 1}.withDefaults()); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f, err := newField(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(f)
+	perNode := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / nodes
+	objects := (float64(after.HeapObjects) - float64(before.HeapObjects)) / nodes
+	t.Logf("a %d-node field retains %.0f bytes and %.2f objects a node after set-up", nodes, perNode, objects)
+	if perNode > maxBytes {
+		t.Errorf("a field node retains %.0f bytes after set-up, want at most %d", perNode, maxBytes)
+	}
+	if objects > maxObjects {
+		t.Errorf("a field node retains %.2f heap objects after set-up, want at most %.1f", objects, maxObjects)
 	}
 }

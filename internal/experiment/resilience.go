@@ -176,7 +176,7 @@ func runResilienceOnce(cfg ResilienceConfig, seed int64) (ResilienceResult, erro
 	positions := workload.GridPlacement(area, cfg.Nodes)
 	nodes := make([]*node.Node, len(positions))
 	for i, p := range positions {
-		n, err := node.New(i, p, node.Correct, nodeCfg, root.Split(fmt.Sprintf("node-%d", i)))
+		n, err := node.New(i, p, node.Correct, &nodeCfg, root.Split(fmt.Sprintf("node-%d", i)))
 		if err != nil {
 			return ResilienceResult{}, err
 		}

@@ -183,7 +183,7 @@ func runTrackingOnce(cfg TrackingConfig, seed int64) (TrackingResult, error) {
 	nFaulty := int(float64(cfg.Nodes)*cfg.FaultyFraction + 0.5)
 	coalition := node.NewCoalition(nodeCfg, cfg.RError, root.Split("coalition"))
 	for i, p := range positions {
-		n, err := node.New(i, p, node.Correct, nodeCfg, root.Split(fmt.Sprintf("node-%d", i)))
+		n, err := node.New(i, p, node.Correct, &nodeCfg, root.Split(fmt.Sprintf("node-%d", i)))
 		if err != nil {
 			return TrackingResult{}, err
 		}

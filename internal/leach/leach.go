@@ -264,11 +264,16 @@ func (s *Station) Snapshot() map[int]core.Record {
 // the member-filtered export a cluster head actually needs. Restoring a
 // small cluster's scheme from a million-node ledger must not copy the
 // other records; IDs the station has never seen are simply absent (they
-// carry full default trust).
+// carry full default trust). It returns nil when the station holds none
+// of the IDs, which every Restore reads as an empty snapshot: at set-up
+// no cluster has a record yet, and an empty map per cluster is waste.
 func (s *Station) SnapshotFor(ids []int) map[int]core.Record {
-	out := make(map[int]core.Record, len(ids))
+	var out map[int]core.Record
 	for _, id := range ids {
 		if r := s.trust.Find(id); r != nil {
+			if out == nil {
+				out = make(map[int]core.Record, len(ids))
+			}
 			out[id] = *r
 		}
 	}
@@ -571,3 +576,8 @@ func (e *Election) affiliate(heads []int) map[int]int {
 }
 
 func (e *Election) nodeByID(id int) *node.Node { return e.byID[id] }
+
+// NodeIndex returns the election's ID index over its population, so a
+// caller that needs the same lookup shares it instead of building a
+// second map. The map is the election's own: callers must not modify it.
+func (e *Election) NodeIndex() map[int]*node.Node { return e.byID }

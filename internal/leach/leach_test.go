@@ -21,7 +21,7 @@ func testNodes(t *testing.T, n int) []*node.Node {
 	cfg := node.Config{Trust: trustParams()}
 	out := make([]*node.Node, n)
 	for i := range out {
-		out[i] = node.MustNew(i, geo.Point{X: float64(i * 10), Y: 0}, node.Correct, cfg, rng.New(int64(100+i)))
+		out[i] = node.MustNew(i, geo.Point{X: float64(i * 10), Y: 0}, node.Correct, &cfg, rng.New(int64(100+i)))
 	}
 	return out
 }

@@ -231,7 +231,7 @@ type Network struct {
 	kernel   *sim.Kernel
 	channel  *radio.Channel
 	nodes    []*node.Node
-	byID     map[int]*node.Node
+	byID     map[int]*node.Node // the election's index, shared read-only
 	station  *leach.Station
 	election *leach.Election
 	model    energy.Model
@@ -303,7 +303,7 @@ func New(cfg Config, kernel *sim.Kernel, channel *radio.Channel,
 		kernel:   kernel,
 		channel:  channel,
 		nodes:    nodes,
-		byID:     make(map[int]*node.Node, len(nodes)),
+		byID:     election.NodeIndex(),
 		station:  station,
 		election: election,
 		model:    energy.DefaultModel(),
@@ -316,9 +316,6 @@ func New(cfg Config, kernel *sim.Kernel, channel *radio.Channel,
 		lastReport: make(map[int]report),
 		byz:        make(map[int]chaos.Behavior),
 		clusterer:  cluster.NewClusterer(),
-	}
-	for _, nd := range nodes {
-		n.byID[nd.ID()] = nd
 	}
 	n.fieldPts = make([]geo.Point, len(nodes))
 	for i, nd := range nodes {
@@ -1092,9 +1089,12 @@ func (n *Network) failoverCheck(dead int, crashedAt sim.Time) {
 
 // DetectedNear reports whether any declaration within rError of loc was
 // made at or after time t — the network-level ground-truth check.
+// Declarations are appended as the kernel decides them, so their times
+// never decrease: the scan starts at the first one at or after t.
 func (n *Network) DetectedNear(loc geo.Point, t sim.Time, rError float64) bool {
-	for _, d := range n.declared {
-		if d.Time >= t && d.Loc.Dist(loc) <= rError {
+	i := sort.Search(len(n.declared), func(i int) bool { return n.declared[i].Time >= t })
+	for _, d := range n.declared[i:] {
+		if d.Loc.Dist(loc) <= rError {
 			return true
 		}
 	}

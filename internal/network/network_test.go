@@ -46,7 +46,7 @@ func newHarness(t *testing.T, cfg Config, faulty int, seed int64) *harness {
 		if i < faulty {
 			kind = node.Level0
 		}
-		nodes[i] = node.MustNew(i, p, kind, nodeCfg, root.Split(string(rune('a'+i))))
+		nodes[i] = node.MustNew(i, p, kind, &nodeCfg, root.Split(string(rune('a'+i))))
 		nodes[i].AttachBattery(energy.NewBattery(1e7))
 	}
 	net, err := New(cfg, kernel, channel, nodes, root.Split("net"), nil)
@@ -229,7 +229,7 @@ func TestNewValidation(t *testing.T) {
 	kernel := sim.New()
 	ch := radio.NewChannel(radio.DefaultConfig(), kernel, rng.New(1))
 	nd := node.MustNew(0, geo.Point{}, node.Correct,
-		node.Config{Trust: core.Params{Lambda: 1, FaultRate: 0}}, rng.New(2))
+		&node.Config{Trust: core.Params{Lambda: 1, FaultRate: 0}}, rng.New(2))
 	if _, err := New(DefaultConfig(), nil, ch, []*node.Node{nd}, rng.New(3), nil); err == nil {
 		t.Fatal("accepted nil kernel")
 	}
@@ -266,7 +266,7 @@ func TestMultihopNetworkDetectsEvents(t *testing.T) {
 	positions := workload.GridPlacement(area, 36)
 	nodes := make([]*node.Node, len(positions))
 	for i, p := range positions {
-		nodes[i] = node.MustNew(i, p, node.Correct, nodeCfg, root.Split(string(rune('a'+i))))
+		nodes[i] = node.MustNew(i, p, node.Correct, &nodeCfg, root.Split(string(rune('a'+i))))
 	}
 	net, err := New(cfg, kernel, channel, nodes, root.Split("net"), nil)
 	if err != nil {
@@ -308,7 +308,7 @@ func TestMultihopRequiresFiniteRange(t *testing.T) {
 	kernel := sim.New()
 	channel := radio.NewChannel(radio.DefaultConfig(), kernel, rng.New(1)) // unlimited range
 	nd := node.MustNew(0, geo.Point{}, node.Correct,
-		node.Config{Trust: cfg.Trust}, rng.New(2))
+		&node.Config{Trust: cfg.Trust}, rng.New(2))
 	_, err := New(cfg, kernel, channel, []*node.Node{nd}, rng.New(3), nil)
 	if err == nil {
 		t.Fatal("multihop accepted an unlimited-range channel")
@@ -378,7 +378,7 @@ func TestMultihopRoutesSurviveRecluster(t *testing.T) {
 	positions := workload.GridPlacement(area, 36)
 	nodes := make([]*node.Node, len(positions))
 	for i, p := range positions {
-		nodes[i] = node.MustNew(i, p, node.Correct, nodeCfg, root.Split(string(rune('A'+i))))
+		nodes[i] = node.MustNew(i, p, node.Correct, &nodeCfg, root.Split(string(rune('A'+i))))
 	}
 	net, err := New(cfg, kernel, channel, nodes, root.Split("net"), nil)
 	if err != nil {

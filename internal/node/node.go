@@ -75,7 +75,8 @@ func (k Kind) Smart() bool { return k == Level1 || k == Level2 || k == Level3 }
 func (k Kind) Colluding() bool { return k == Level2 || k == Level3 }
 
 // Config holds the behavioural parameters shared by a population of nodes.
-// Experiments fill it from Table 1 or Table 2.
+// Experiments fill it from Table 1 or Table 2. Every node of a population
+// points at one Config: it is shared, and read-only once passed to New.
 type Config struct {
 	// NER is the natural error rate of correct nodes in binary mode: the
 	// probability of missing a real event, and of raising a false alarm
@@ -159,7 +160,7 @@ type Node struct {
 	id   int
 	pos  geo.Point
 	kind Kind
-	cfg  Config
+	cfg  *Config // shared by the population; never written
 	src  *rng.Source
 
 	battery   *energy.Battery
@@ -172,7 +173,12 @@ type Node struct {
 
 // New returns a node with the given identity, position, and behaviour. The
 // random source must be unique to the node for runs to be reproducible.
-func New(id int, pos geo.Point, kind Kind, cfg Config, src *rng.Source) (*Node, error) {
+// The node keeps cfg, not a copy: a population shares one Config, which
+// must not change after New.
+func New(id int, pos geo.Point, kind Kind, cfg *Config, src *rng.Source) (*Node, error) {
+	if cfg == nil {
+		return nil, fmt.Errorf("node: nil config for node %d", id)
+	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -187,7 +193,7 @@ func New(id int, pos geo.Point, kind Kind, cfg Config, src *rng.Source) (*Node, 
 }
 
 // MustNew is New for tests and examples with known-good configs.
-func MustNew(id int, pos geo.Point, kind Kind, cfg Config, src *rng.Source) *Node {
+func MustNew(id int, pos geo.Point, kind Kind, cfg *Config, src *rng.Source) *Node {
 	n, err := New(id, pos, kind, cfg, src)
 	if err != nil {
 		panic(err)

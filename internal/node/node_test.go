@@ -3,6 +3,7 @@ package node
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"github.com/tibfit/tibfit/internal/core"
 	"github.com/tibfit/tibfit/internal/energy"
@@ -22,6 +23,13 @@ func testConfig() Config {
 		UpperTI:        0.8,
 		Trust:          core.Params{Lambda: 0.25, FaultRate: 0.1},
 	}
+}
+
+// testConfigPtr returns a fresh testConfig for New, which keeps the
+// pointer rather than a copy.
+func testConfigPtr() *Config {
+	cfg := testConfig()
+	return &cfg
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -51,8 +59,29 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestNewRejectsNilSource(t *testing.T) {
-	if _, err := New(1, geo.Point{}, Correct, testConfig(), nil); err == nil {
+	if _, err := New(1, geo.Point{}, Correct, testConfigPtr(), nil); err == nil {
 		t.Fatal("New accepted nil rng")
+	}
+}
+
+func TestNewRejectsNilConfig(t *testing.T) {
+	if _, err := New(1, geo.Point{}, Correct, nil, rng.New(1)); err == nil {
+		t.Fatal("New accepted nil config")
+	}
+}
+
+// TestNodesShareConfig pins the population's footprint: nodes built from
+// one Config point at it instead of each holding a copy, which keeps a
+// Node in the 96-byte size class.
+func TestNodesShareConfig(t *testing.T) {
+	cfg := testConfig()
+	a := MustNew(1, geo.Point{}, Correct, &cfg, rng.New(1))
+	b := MustNew(2, geo.Point{}, Level1, &cfg, rng.New(2))
+	if a.cfg != &cfg || b.cfg != &cfg {
+		t.Fatal("a node copied its config")
+	}
+	if size := unsafe.Sizeof(Node{}); size > 96 {
+		t.Fatalf("Node is %d bytes, want at most 96", size)
 	}
 }
 
@@ -82,7 +111,7 @@ func TestKindPredicates(t *testing.T) {
 func TestCorrectNodeBinaryRates(t *testing.T) {
 	cfg := testConfig()
 	cfg.NER = 0.05
-	n := MustNew(1, geo.Point{}, Correct, cfg, rng.New(1))
+	n := MustNew(1, geo.Point{}, Correct, &cfg, rng.New(1))
 	const trials = 100000
 	misses, falseAlarms := 0, 0
 	for i := 0; i < trials; i++ {
@@ -102,7 +131,7 @@ func TestCorrectNodeBinaryRates(t *testing.T) {
 }
 
 func TestLevel0BinaryRates(t *testing.T) {
-	n := MustNew(1, geo.Point{}, Level0, testConfig(), rng.New(2))
+	n := MustNew(1, geo.Point{}, Level0, testConfigPtr(), rng.New(2))
 	const trials = 100000
 	misses, falseAlarms := 0, 0
 	for i := 0; i < trials; i++ {
@@ -123,7 +152,7 @@ func TestLevel0BinaryRates(t *testing.T) {
 
 func TestCorrectNodeLocationNoise(t *testing.T) {
 	cfg := testConfig()
-	n := MustNew(1, geo.Point{X: 50, Y: 50}, Correct, cfg, rng.New(3))
+	n := MustNew(1, geo.Point{X: 50, Y: 50}, Correct, &cfg, rng.New(3))
 	ev := geo.Point{X: 55, Y: 50}
 	const trials = 50000
 	var sumErr float64
@@ -149,7 +178,7 @@ func TestCorrectNodeLocationNoise(t *testing.T) {
 func TestLevel0LocationDropsAndNoise(t *testing.T) {
 	cfg := testConfig()
 	cfg.MissProb = 0.25
-	n := MustNew(1, geo.Point{X: 50, Y: 50}, Level0, cfg, rng.New(4))
+	n := MustNew(1, geo.Point{X: 50, Y: 50}, Level0, &cfg, rng.New(4))
 	ev := geo.Point{X: 55, Y: 50}
 	const trials = 50000
 	sends := 0
@@ -173,7 +202,7 @@ func TestLevel0LocationDropsAndNoise(t *testing.T) {
 
 func TestSmartNodeHysteresis(t *testing.T) {
 	cfg := testConfig()
-	n := MustNew(1, geo.Point{}, Level1, cfg, rng.New(5))
+	n := MustNew(1, geo.Point{}, Level1, &cfg, rng.New(5))
 	if !n.Lying() {
 		t.Fatal("level-1 node not lying initially")
 	}
@@ -199,7 +228,7 @@ func TestSmartNodeHysteresis(t *testing.T) {
 }
 
 func TestCorrectNodeIgnoresVerdicts(t *testing.T) {
-	n := MustNew(1, geo.Point{}, Correct, testConfig(), rng.New(6))
+	n := MustNew(1, geo.Point{}, Correct, testConfigPtr(), rng.New(6))
 	n.ObserveVerdict(false)
 	if n.TrustEstimate() != 1 || n.Lying() {
 		t.Fatal("correct node reacted to verdicts")
@@ -207,7 +236,7 @@ func TestCorrectNodeIgnoresVerdicts(t *testing.T) {
 }
 
 func TestCompromiseTransitions(t *testing.T) {
-	n := MustNew(1, geo.Point{}, Correct, testConfig(), rng.New(7))
+	n := MustNew(1, geo.Point{}, Correct, testConfigPtr(), rng.New(7))
 	if n.Kind() != Correct || n.Lying() {
 		t.Fatal("bad initial state")
 	}
@@ -226,8 +255,8 @@ func TestCoalitionPlanIsSharedPerEvent(t *testing.T) {
 	cfg.CollusionSilenceProb = 0.5
 	src := rng.New(8)
 	coal := NewCoalition(cfg, 5, src)
-	a := MustNew(1, geo.Point{X: 10, Y: 10}, Level2, cfg, rng.New(9))
-	b := MustNew(2, geo.Point{X: 12, Y: 10}, Level2, cfg, rng.New(10))
+	a := MustNew(1, geo.Point{X: 10, Y: 10}, Level2, &cfg, rng.New(9))
+	b := MustNew(2, geo.Point{X: 12, Y: 10}, Level2, &cfg, rng.New(10))
 	a.JoinCoalition(coal)
 	b.JoinCoalition(coal)
 	if coal.Size() != 2 {
@@ -265,7 +294,7 @@ func TestLevel2MembersReportCommonLieOrNothing(t *testing.T) {
 	coal := NewCoalition(cfg, 5, rng.New(12))
 	members := make([]*Node, 4)
 	for i := range members {
-		members[i] = MustNew(i, geo.Point{X: 45 + float64(i)*2, Y: 50}, Level2, cfg, rng.New(int64(20+i)))
+		members[i] = MustNew(i, geo.Point{X: 45 + float64(i)*2, Y: 50}, Level2, &cfg, rng.New(int64(20+i)))
 		members[i].JoinCoalition(coal)
 	}
 	ev := geo.Point{X: 50, Y: 50}
@@ -289,7 +318,7 @@ func TestLevel2MemberStaysSilentOutsideSenseRadius(t *testing.T) {
 	cfg.CollusionSilenceProb = 0
 	cfg.SenseRadius = 6 // tight radius: most fabrications are out of range
 	coal := NewCoalition(cfg, 5, rng.New(13))
-	n := MustNew(1, geo.Point{X: 50, Y: 50}, Level2, cfg, rng.New(14))
+	n := MustNew(1, geo.Point{X: 50, Y: 50}, Level2, &cfg, rng.New(14))
 	n.JoinCoalition(coal)
 	ev := geo.Point{X: 50, Y: 50}
 	for round := 0; round < 200; round++ {
@@ -304,7 +333,7 @@ func TestLevel2MemberStaysSilentOutsideSenseRadius(t *testing.T) {
 }
 
 func TestReportOffsetRoundTrip(t *testing.T) {
-	n := MustNew(1, geo.Point{X: 30, Y: 40}, Correct, testConfig(), rng.New(15))
+	n := MustNew(1, geo.Point{X: 30, Y: 40}, Correct, testConfigPtr(), rng.New(15))
 	loc := geo.Point{X: 35, Y: 44}
 	off := n.ReportOffset(loc)
 	back := geo.FromPolar(n.Pos(), off)
@@ -314,7 +343,7 @@ func TestReportOffsetRoundTrip(t *testing.T) {
 }
 
 func TestBatteryDrainOnSense(t *testing.T) {
-	n := MustNew(1, geo.Point{X: 50, Y: 50}, Correct, testConfig(), rng.New(16))
+	n := MustNew(1, geo.Point{X: 50, Y: 50}, Correct, testConfigPtr(), rng.New(16))
 	b := energy.NewBattery(100)
 	n.AttachBattery(b)
 	_, _ = n.SenseLocation(0, geo.Point{X: 51, Y: 50})
@@ -324,7 +353,7 @@ func TestBatteryDrainOnSense(t *testing.T) {
 }
 
 func TestMarkCH(t *testing.T) {
-	n := MustNew(1, geo.Point{}, Correct, testConfig(), rng.New(17))
+	n := MustNew(1, geo.Point{}, Correct, testConfigPtr(), rng.New(17))
 	n.MarkCH()
 	n.MarkCH()
 	if n.TimesCH() != 2 {
@@ -339,7 +368,7 @@ func TestLevel3JittersCommonLie(t *testing.T) {
 	coal := NewCoalition(cfg, 5, rng.New(31))
 	members := make([]*Node, 3)
 	for i := range members {
-		members[i] = MustNew(i, geo.Point{X: 48 + float64(i)*2, Y: 50}, Level3, cfg, rng.New(int64(40+i)))
+		members[i] = MustNew(i, geo.Point{X: 48 + float64(i)*2, Y: 50}, Level3, &cfg, rng.New(int64(40+i)))
 		members[i].JoinCoalition(coal)
 	}
 	ev := geo.Point{X: 50, Y: 50}

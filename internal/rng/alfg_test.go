@@ -156,11 +156,11 @@ func TestLazySourceFootprint(t *testing.T) {
 	if size := unsafe.Sizeof(Source{}); size > 32 {
 		t.Fatalf("Source is %d bytes, want at most 32 before the register is built", size)
 	}
-	if n := testing.AllocsPerRun(100, func() { sinkSource = New(7) }); n > 2 {
-		t.Fatalf("New allocates %v times, want 2 (Source and rand.Rand)", n)
+	if n := testing.AllocsPerRun(100, func() { sinkSource = New(7) }); n > 1 {
+		t.Fatalf("New allocates %v times, want 1 (the Source)", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { sinkSource = Split(7, "node/123456") }); n > 2 {
-		t.Fatalf("Split allocates %v times, want 2 (Source and rand.Rand)", n)
+	if n := testing.AllocsPerRun(100, func() { sinkSource = Split(7, "node/123456") }); n > 1 {
+		t.Fatalf("Split allocates %v times, want 1 (the Source)", n)
 	}
 
 	s := New(11)
@@ -175,6 +175,38 @@ func TestLazySourceFootprint(t *testing.T) {
 	s.Int63()
 	if s.src.reg == nil {
 		t.Fatalf("draw %d did not build the register", rngTap)
+	}
+}
+
+// A stream that never draws holds no math/rand wrapper; the first draw
+// that needs one builds it, and from there the stream is math/rand's,
+// draw for draw.
+func TestRandWrapperBuiltOnFirstDraw(t *testing.T) {
+	for _, seed := range diffSeeds()[:20] {
+		s, child := New(seed), Split(seed, "node/7")
+		if s.r != nil || child.r != nil {
+			t.Fatalf("seed %d: a source that never drew holds a *rand.Rand", seed)
+		}
+		ref := rand.New(rand.NewSource(seed))
+		for k := 0; k < 1000; k++ {
+			var g, w uint64
+			switch k % 4 {
+			case 0:
+				g, w = math.Float64bits(s.Float64()), math.Float64bits(ref.Float64())
+			case 1:
+				g, w = math.Float64bits(s.Gaussian(0, 1)), math.Float64bits(ref.NormFloat64())
+			case 2:
+				g, w = uint64(s.Intn(1000)), uint64(ref.Intn(1000))
+			default:
+				g, w = uint64(s.Int63()), uint64(ref.Int63())
+			}
+			if g != w {
+				t.Fatalf("seed %d draw %d: %#x, math/rand %#x", seed, k, g, w)
+			}
+			if s.r == nil {
+				t.Fatalf("seed %d: draw %d did not build the wrapper", seed, k)
+			}
+		}
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // math/rand.NewSource(seed)'s, seeded lazily (see alfg.go). A Source is
 // not safe for concurrent use; the simulator is single-threaded by design.
 type Source struct {
-	r   *rand.Rand
+	r   *rand.Rand // built on the first draw that needs it; see rnd
 	src alfg
 }
 
@@ -25,8 +25,17 @@ type Source struct {
 func New(seed int64) *Source {
 	s := &Source{}
 	s.src.Seed(seed)
-	s.r = rand.New(&s.src)
 	return s
+}
+
+// rnd returns the math/rand wrapper over s.src, building it on first use.
+// Most per-node streams of a large field never draw, so they never pay
+// for it; rand.New draws nothing, so the stream is the same either way.
+func (s *Source) rnd() *rand.Rand {
+	if s.r == nil {
+		s.r = rand.New(&s.src)
+	}
+	return s.r
 }
 
 // Split derives an independent child stream from a parent seed and a name.
@@ -50,18 +59,18 @@ func Split(seed int64, name string) *Source {
 // seeded from the parent's next value combined with the name hash, so the
 // derivation itself is deterministic.
 func (s *Source) Split(name string) *Source {
-	return Split(s.r.Int63(), name)
+	return Split(s.src.Int63(), name)
 }
 
 // Float64 returns a uniform value in [0, 1).
-func (s *Source) Float64() float64 { return s.r.Float64() }
+func (s *Source) Float64() float64 { return s.rnd().Float64() }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0, matching
 // math/rand semantics.
-func (s *Source) Intn(n int) int { return s.r.Intn(n) }
+func (s *Source) Intn(n int) int { return s.rnd().Intn(n) }
 
 // Int63 returns a non-negative uniform 63-bit integer.
-func (s *Source) Int63() int64 { return s.r.Int63() }
+func (s *Source) Int63() int64 { return s.src.Int63() }
 
 // Bernoulli returns true with probability p. Probabilities outside [0, 1]
 // are clamped: p <= 0 never fires and p >= 1 always fires.
@@ -72,7 +81,7 @@ func (s *Source) Bernoulli(p float64) bool {
 	if p >= 1 {
 		return true
 	}
-	return s.r.Float64() < p
+	return s.rnd().Float64() < p
 }
 
 // Uniform returns a uniform value in [lo, hi). It panics if hi < lo.
@@ -80,7 +89,7 @@ func (s *Source) Uniform(lo, hi float64) float64 {
 	if hi < lo {
 		panic("rng: Uniform called with hi < lo")
 	}
-	return lo + (hi-lo)*s.r.Float64()
+	return lo + (hi-lo)*s.rnd().Float64()
 }
 
 // Gaussian returns a normal sample with the given mean and standard
@@ -90,7 +99,7 @@ func (s *Source) Gaussian(mean, sigma float64) float64 {
 	if sigma <= 0 {
 		return mean
 	}
-	return mean + sigma*s.r.NormFloat64()
+	return mean + sigma*s.rnd().NormFloat64()
 }
 
 // Rayleigh returns a Rayleigh-distributed sample with scale sigma. The
@@ -101,20 +110,20 @@ func (s *Source) Rayleigh(sigma float64) float64 {
 	if sigma <= 0 {
 		return 0
 	}
-	u := s.r.Float64()
+	u := s.rnd().Float64()
 	// Guard against log(0); Float64 returns values in [0,1) so 1-u is in
 	// (0,1] and only the u==0 case needs no care at all.
 	return sigma * math.Sqrt(-2*math.Log(1-u))
 }
 
 // Perm returns a random permutation of [0, n).
-func (s *Source) Perm(n int) []int { return s.r.Perm(n) }
+func (s *Source) Perm(n int) []int { return s.rnd().Perm(n) }
 
 // Shuffle pseudo-randomizes the order of n elements using swap.
-func (s *Source) Shuffle(n int, swap func(i, j int)) { s.r.Shuffle(n, swap) }
+func (s *Source) Shuffle(n int, swap func(i, j int)) { s.rnd().Shuffle(n, swap) }
 
 // ExpFloat64 returns an exponentially distributed value with rate 1.
-func (s *Source) ExpFloat64() float64 { return s.r.ExpFloat64() }
+func (s *Source) ExpFloat64() float64 { return s.rnd().ExpFloat64() }
 
 // RayleighExceedProb returns the probability that a Rayleigh(sigma) sample
 // exceeds r — that is, the probability a node whose 2-D Gaussian location

@@ -1,10 +1,12 @@
 package shadow
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/tibfit/tibfit/internal/core"
+	"github.com/tibfit/tibfit/internal/decision"
 	"github.com/tibfit/tibfit/internal/rng"
 )
 
@@ -168,6 +170,41 @@ func TestRestoreLoadsAllReplicas(t *testing.T) {
 	}
 	if p.Primary().TI(7) >= 0.5 {
 		t.Fatal("primary table missing restored state")
+	}
+}
+
+// TestRestoreNilIsEmpty: a panel restored from nil — what the station's
+// member-filtered export returns for a cluster it holds no records of —
+// behaves exactly like one restored from an empty map, for every
+// registered scheme.
+func TestRestoreNilIsEmpty(t *testing.T) {
+	for _, name := range decision.Names() {
+		var panels [2]*Panel
+		for i, snap := range []map[int]core.Record{nil, {}} {
+			p, err := NewPanelScheme(name, decision.Params{Trust: params()}, 0, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := 0; j < 6; j++ {
+				p.DecideAndSettle([]int{1, 2, 3}, []int{7})
+			}
+			p.Restore(snap)
+			panels[i] = p
+		}
+		a, b := panels[0], panels[1]
+		if len(a.Snapshot()) != 0 || len(b.Snapshot()) != 0 {
+			t.Fatalf("%s: restore left records behind", name)
+		}
+		for j := 0; j < 6; j++ {
+			da := a.DecideAndSettle([]int{1, 7}, []int{2, 3})
+			db := b.DecideAndSettle([]int{1, 7}, []int{2, 3})
+			if !reflect.DeepEqual(da, db) {
+				t.Fatalf("%s: decision %d differs: %+v vs %+v", name, j, da, db)
+			}
+		}
+		if !reflect.DeepEqual(a.Snapshot(), b.Snapshot()) {
+			t.Fatalf("%s: snapshots diverged after Restore(nil) vs Restore(empty)", name)
+		}
 	}
 }
 

@@ -72,9 +72,11 @@ func BenchmarkSchedulerChurn(b *testing.B) {
 
 // BenchmarkSkewedHorizon oscillates the population between empty and a
 // bimodal near/far spread each op: the near half fires, the far half is
-// cancelled. Every op forces the calendar's bucket-count growth, width
-// re-estimation against skewed gaps, and shrink back down — the resize
-// machinery is the measured cost.
+// cancelled. The first op grows the calendar and estimates its width
+// against the skewed gaps; the shrink damping then keeps that calendar
+// through every later swing, so the steady-state cost is the bimodal
+// churn through one calendar sized for the peak, not a grow-and-shrink
+// cycle per op.
 func BenchmarkSkewedHorizon(b *testing.B) {
 	k := New()
 	b.ReportAllocs()

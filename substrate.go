@@ -208,7 +208,7 @@ func NewNetwork(cfg NetworkConfig, kernel *Kernel, channel *Radio,
 
 // NewSensorNode constructs a sensor node with the given behaviour model.
 func NewSensorNode(id int, pos Point, kind NodeKind, cfg NodeConfig, src *Rand) (*SensorNode, error) {
-	return node.New(id, pos, kind, cfg, src)
+	return node.New(id, pos, kind, &cfg, src)
 }
 
 // Statistics helpers for replicate analysis.
