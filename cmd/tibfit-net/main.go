@@ -20,6 +20,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 
 	"github.com/tibfit/tibfit/internal/chaos"
 	"github.com/tibfit/tibfit/internal/cli"
@@ -169,7 +170,7 @@ func run(args []string, out *os.File) error {
 		if i < nFaulty {
 			kind = node.Level0
 		}
-		n, err := node.New(i, p, kind, &nodeCfg, root.Split(fmt.Sprint("node", i)))
+		n, err := node.New(i, p, kind, &nodeCfg, root.Split("node"+strconv.Itoa(i)))
 		if err != nil {
 			return err
 		}

@@ -16,6 +16,7 @@ package experiment
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"github.com/tibfit/tibfit/internal/aggregator"
 	"github.com/tibfit/tibfit/internal/core"
@@ -214,7 +215,7 @@ func runExp1Once(cfg Exp1Config, seed int64) (Exp1Result, error) {
 			kind = node.Level0
 		}
 		pos := geo.Point{X: float64(i + 1), Y: 0}
-		n, err := node.New(i, pos, kind, &nodeCfg, root.Split(fmt.Sprintf("node-%d", i)))
+		n, err := node.New(i, pos, kind, &nodeCfg, root.Split("node-"+strconv.Itoa(i)))
 		if err != nil {
 			return Exp1Result{}, err
 		}

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"strconv"
 
 	"github.com/tibfit/tibfit/internal/aggregator"
 	"github.com/tibfit/tibfit/internal/core"
@@ -285,7 +286,7 @@ func runExp2Once(cfg Exp2Config, seed int64) (Exp2Result, error) {
 	nodes := make([]*node.Node, cfg.Nodes)
 	posMap := make(map[int]geo.Point, cfg.Nodes)
 	for i, p := range positions {
-		n, err := node.New(i, p, node.Correct, &nodeCfg, root.Split(fmt.Sprintf("node-%d", i)))
+		n, err := node.New(i, p, node.Correct, &nodeCfg, root.Split("node-"+strconv.Itoa(i)))
 		if err != nil {
 			return Exp2Result{}, err
 		}

@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"github.com/tibfit/tibfit/internal/geo"
 	"github.com/tibfit/tibfit/internal/network"
@@ -158,7 +159,7 @@ func newField(cfg FieldConfig) (*field, error) {
 	positions := workload.UniformPlacement(area, cfg.Nodes, root.Split("placement"))
 	nodes := make([]*node.Node, len(positions))
 	for i, p := range positions {
-		n, err := node.New(i, p, node.Correct, &nodeCfg, root.Split(fmt.Sprintf("node-%d", i)))
+		n, err := node.New(i, p, node.Correct, &nodeCfg, root.Split("node-"+strconv.Itoa(i)))
 		if err != nil {
 			return nil, err
 		}

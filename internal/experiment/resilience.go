@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"strconv"
 
 	"github.com/tibfit/tibfit/internal/chaos"
 	"github.com/tibfit/tibfit/internal/energy"
@@ -176,7 +177,7 @@ func runResilienceOnce(cfg ResilienceConfig, seed int64) (ResilienceResult, erro
 	positions := workload.GridPlacement(area, cfg.Nodes)
 	nodes := make([]*node.Node, len(positions))
 	for i, p := range positions {
-		n, err := node.New(i, p, node.Correct, &nodeCfg, root.Split(fmt.Sprintf("node-%d", i)))
+		n, err := node.New(i, p, node.Correct, &nodeCfg, root.Split("node-"+strconv.Itoa(i)))
 		if err != nil {
 			return ResilienceResult{}, err
 		}

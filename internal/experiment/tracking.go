@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"github.com/tibfit/tibfit/internal/aggregator"
 	"github.com/tibfit/tibfit/internal/core"
@@ -183,7 +184,7 @@ func runTrackingOnce(cfg TrackingConfig, seed int64) (TrackingResult, error) {
 	nFaulty := int(float64(cfg.Nodes)*cfg.FaultyFraction + 0.5)
 	coalition := node.NewCoalition(nodeCfg, cfg.RError, root.Split("coalition"))
 	for i, p := range positions {
-		n, err := node.New(i, p, node.Correct, &nodeCfg, root.Split(fmt.Sprintf("node-%d", i)))
+		n, err := node.New(i, p, node.Correct, &nodeCfg, root.Split("node-"+strconv.Itoa(i)))
 		if err != nil {
 			return TrackingResult{}, err
 		}

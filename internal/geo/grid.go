@@ -243,7 +243,7 @@ func (g *Grid) NearestClamped(p Point, clamp float64) (idx int, ok bool) {
 		maxInt(absInt(cy), absInt(g.rows-1-cy)))
 	best := -1
 	bestE2 := math.Inf(1)
-	for m := 0; m <= maxRing; m++ {
+	for m := g.firstRing(cx, cy); m <= maxRing; m++ {
 		best, bestE2 = g.scanRing(p, cx, cy, m, clamp2, best, bestE2)
 		if best >= 0 && m >= 2 {
 			// Points in rings > m lie at true distance >= m*cell; the
@@ -278,59 +278,87 @@ func (g *Grid) NearestByDist(p Point, key func(d float64) float64) (idx int, ok 
 	cx, cy := g.virtCellX(p.X), g.virtCellY(p.Y)
 	maxRing := maxInt(maxInt(absInt(cx), absInt(g.cols-1-cx)),
 		maxInt(absInt(cy), absInt(g.rows-1-cy)))
-	best := -1
-	bestKey := math.Inf(1)
-	for m := 0; m <= maxRing; m++ {
-		best, bestKey = g.scanRingBy(p, cx, cy, m, key, best, bestKey)
-		if best >= 0 && m >= 2 {
+	b := byDist{idx: -1, d: math.Inf(1), key: math.Inf(1), over: math.Inf(1)}
+	for m := g.firstRing(cx, cy); m <= maxRing; m++ {
+		g.scanRingBy(p, cx, cy, m, key, &b)
+		if b.idx >= 0 && m >= 2 {
 			// Rings > m hold points at true distance >= m*cell (one-ring
 			// slack as in NearestClamped); key is monotone, so once even
 			// the slackened bound keys strictly above the incumbent no
 			// later ring can win or tie.
-			if key(float64(m-1)*g.cell) > bestKey {
+			if key(float64(m-1)*g.cell) > b.key {
 				break
 			}
 		}
 	}
-	return best, true
+	return b.idx, true
+}
+
+// firstRing returns the Chebyshev distance from virtual cell (cx, cy) to
+// the grid's cells. Every nearer ring lies wholly outside the grid and
+// holds no point, so a nearest query far from the field starts its ring
+// search here instead of walking thousands of empty rings.
+func (g *Grid) firstRing(cx, cy int) int {
+	return maxInt(maxInt(maxInt(-cx, cx-(g.cols-1)), maxInt(-cy, cy-(g.rows-1))), 0)
+}
+
+// byDist is the running (key, index) minimum of a NearestByDist query,
+// with the incumbent's distance d kept beside its key, and over, the
+// smallest distance seen whose key is strictly above the incumbent's.
+type byDist struct {
+	idx          int
+	d, key, over float64
 }
 
 // scanRingBy is scanRing for the NearestByDist comparator.
 //
 //hot:path
-func (g *Grid) scanRingBy(p Point, cx, cy, m int, key func(d float64) float64, best int, bestKey float64) (int, float64) {
+func (g *Grid) scanRingBy(p Point, cx, cy, m int, key func(d float64) float64, b *byDist) {
 	if m == 0 {
-		return g.scanCellBy(p, cx, cy, key, best, bestKey)
+		g.scanCellBy(p, cx, cy, key, b)
+		return
 	}
-	for y := cy - m; y <= cy+m; y++ {
+	// Only the ring's rows and columns inside the grid can hold points.
+	for y := max(cy-m, 0); y <= min(cy+m, g.rows-1); y++ {
 		if y == cy-m || y == cy+m {
-			for x := cx - m; x <= cx+m; x++ {
-				best, bestKey = g.scanCellBy(p, x, y, key, best, bestKey)
+			for x := max(cx-m, 0); x <= min(cx+m, g.cols-1); x++ {
+				g.scanCellBy(p, x, y, key, b)
 			}
 		} else {
-			best, bestKey = g.scanCellBy(p, cx-m, y, key, best, bestKey)
-			best, bestKey = g.scanCellBy(p, cx+m, y, key, best, bestKey)
+			g.scanCellBy(p, cx-m, y, key, b)
+			g.scanCellBy(p, cx+m, y, key, b)
 		}
 	}
-	return best, bestKey
 }
 
-// scanCellBy folds one cell's points into the running (key, index) minimum.
+// scanCellBy folds one cell's points into the running (key, index)
+// minimum. key is non-decreasing, so two kinds of point are skipped
+// without evaluating it: one farther than over, whose key is strictly
+// above the incumbent's, and one farther than the incumbent with a larger
+// index, whose key is at least the incumbent's and which loses a tie.
+// Only a point nearer than every known loser can then cost a key call,
+// so affiliation evaluates the path-loss curve for a few heads per member
+// instead of every head in the searched rings.
 //
 //hot:path
-func (g *Grid) scanCellBy(p Point, x, y int, key func(d float64) float64, best int, bestKey float64) (int, float64) {
+func (g *Grid) scanCellBy(p Point, x, y int, key func(d float64) float64, b *byDist) {
 	if x < 0 || x >= g.cols || y < 0 || y >= g.rows {
-		return best, bestKey
+		return
 	}
 	c := y*g.cols + x
 	for _, id := range g.order[g.start[c]:g.start[c+1]] {
-		k := key(g.pts[id].Dist(p))
+		d := g.pts[id].Dist(p)
+		if d > b.over || (d > b.d && int(id) > b.idx) {
+			continue
+		}
+		k := key(d)
 		//lint:allow floateq deterministic tie-break: equal keys fall through to the smaller index, mirroring the brute first-strict-win loop
-		if k < bestKey || (k == bestKey && int(id) < best) {
-			best, bestKey = int(id), k
+		if k < b.key || (k == b.key && int(id) < b.idx) {
+			b.idx, b.d, b.key = int(id), d, k
+		} else if k > b.key {
+			b.over = d
 		}
 	}
-	return best, bestKey
 }
 
 // scanRing scans the cells at Chebyshev distance m from (cx, cy) in
@@ -341,9 +369,10 @@ func (g *Grid) scanRing(p Point, cx, cy, m int, clamp2 float64, best int, bestE2
 	if m == 0 {
 		return g.scanCell(p, cx, cy, clamp2, best, bestE2)
 	}
-	for y := cy - m; y <= cy+m; y++ {
+	// Only the ring's rows and columns inside the grid can hold points.
+	for y := max(cy-m, 0); y <= min(cy+m, g.rows-1); y++ {
 		if y == cy-m || y == cy+m {
-			for x := cx - m; x <= cx+m; x++ {
+			for x := max(cx-m, 0); x <= min(cx+m, g.cols-1); x++ {
 				best, bestE2 = g.scanCell(p, x, y, clamp2, best, bestE2)
 			}
 		} else {

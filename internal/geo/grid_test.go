@@ -145,6 +145,39 @@ func TestGridNearestMatchesBrute(t *testing.T) {
 	}
 }
 
+// TestGridNearestByDistPlateau pins NearestByDist's key skipping where it
+// is easiest to get wrong: many points inside the key's clamp plateau
+// (closer than one unit) at distinct distances, duplicated points, and
+// random index order, so equal keys must go to the smallest index even
+// when that point is farther than the incumbent.
+func TestGridNearestByDistPlateau(t *testing.T) {
+	src := rng.New(11)
+	g := NewGrid()
+	for trial := 0; trial < 300; trial++ {
+		c := Point{X: src.Uniform(0, 100), Y: src.Uniform(0, 100)}
+		pts := make([]Point, 40)
+		for i := range pts {
+			if src.Bernoulli(0.3) {
+				// Inside the plateau around the query, some duplicated.
+				pts[i] = Point{X: c.X + src.Uniform(-0.7, 0.7), Y: c.Y + src.Uniform(-0.7, 0.7)}
+				if i > 0 && src.Bernoulli(0.3) {
+					pts[i] = pts[src.Intn(i)]
+				}
+			} else {
+				pts[i] = Point{X: src.Uniform(0, 100), Y: src.Uniform(0, 100)}
+			}
+		}
+		for _, cell := range []float64{0.3, 2, 40} {
+			g.Rebuild(pts, cell)
+			got, ok := g.NearestByDist(c, rssKey)
+			want, wok := bruteNearestByDist(pts, c, rssKey)
+			if ok != wok || got != want {
+				t.Fatalf("trial %d cell=%g: grid (%d,%v) != brute (%d,%v)", trial, cell, got, ok, want, wok)
+			}
+		}
+	}
+}
+
 func TestGridNearestQueryAtPoint(t *testing.T) {
 	pts := []Point{{0, 0}, {5, 5}, {5, 5}, {9, 1}}
 	g := NewGrid()

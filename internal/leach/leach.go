@@ -309,8 +309,9 @@ func (s *Station) Eligible(nodeID int, threshold float64) bool {
 type Result struct {
 	// Heads are the elected cluster heads, sorted by ID.
 	Heads []int
-	// Affiliation maps every non-head node to its chosen head.
-	Affiliation map[int]int
+	// Affiliation is indexed by node ID: the head each non-head node
+	// chose, or -1 for a head and for a node that heard no head.
+	Affiliation []int
 	// Vetoed lists self-elected candidates the station rejected on trust
 	// grounds this round.
 	Vetoed []int
@@ -322,37 +323,37 @@ type Result struct {
 }
 
 // Clusters groups node IDs by their head, including the head itself.
-// Members are appended in ascending ID order (not map order) so each
-// bucket's backing array is built identically on every run.
+// It walks the IDs in ascending order, so each member list comes out
+// sorted and its backing array is built identically on every run.
 func (r Result) Clusters() map[int][]int {
 	out := make(map[int][]int, len(r.Heads))
 	for _, h := range r.Heads {
-		out[h] = []int{h}
+		out[h] = nil
 	}
-	ids := make([]int, 0, len(r.Affiliation))
-	for id := range r.Affiliation {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		out[r.Affiliation[id]] = append(out[r.Affiliation[id]], id)
-	}
-	for _, members := range out {
-		sort.Ints(members)
+	for id, h := range r.Affiliation {
+		if h < 0 {
+			if _, isHead := out[id]; !isHead {
+				continue
+			}
+			h = id
+		}
+		out[h] = append(out[h], id)
 	}
 	return out
 }
 
 // Election runs LEACH rounds over a fixed node population.
 type Election struct {
-	cfg      Config
-	station  *Station
-	channel  *radio.Channel
-	src      *rng.Source
-	nodes    []*node.Node
-	byID     map[int]*node.Node
-	round    int
-	lastled  map[int]int // node ID -> round it last served (1-based)
+	cfg     Config
+	station *Station
+	channel *radio.Channel
+	src     *rng.Source
+	nodes   []*node.Node // nodes[id] carries ID id
+	round   int
+	// lastled[id] is one past the round node id last served in, so 0
+	// means never led and a term recorded before the first Run (round 0)
+	// still counts for the cool-off.
+	lastled  []int32
 	liveness func(int) bool
 
 	// headGrid indexes the advertising heads each round so affiliation is
@@ -371,7 +372,10 @@ func (e *Election) SetLiveness(up func(int) bool) { e.liveness = up }
 func (e *Election) up(id int) bool { return e.liveness == nil || e.liveness(id) }
 
 // NewElection returns an election controller. The channel is used only for
-// its signal-strength model during affiliation.
+// its signal-strength model during affiliation. Node IDs are dense: the
+// node at index i must carry ID i, so every per-node table is a slice
+// indexed by ID. A population that breaks this is rejected with an error
+// naming the first index that does.
 func NewElection(cfg Config, station *Station, channel *radio.Channel,
 	nodes []*node.Node, src *rng.Source) (*Election, error) {
 	if err := cfg.Validate(); err != nil {
@@ -386,9 +390,10 @@ func NewElection(cfg Config, station *Station, channel *radio.Channel,
 	if cfg.MaxRetries == 0 {
 		cfg.MaxRetries = defaultMaxRetries
 	}
-	byID := make(map[int]*node.Node, len(nodes))
-	for _, n := range nodes {
-		byID[n.ID()] = n
+	for i, n := range nodes {
+		if n.ID() != i {
+			return nil, fmt.Errorf("leach: node at index %d has ID %d; node IDs must equal their index", i, n.ID())
+		}
 	}
 	return &Election{
 		cfg:      cfg,
@@ -396,8 +401,7 @@ func NewElection(cfg Config, station *Station, channel *radio.Channel,
 		channel:  channel,
 		src:      src,
 		nodes:    nodes,
-		byID:     byID,
-		lastled:  make(map[int]int),
+		lastled:  make([]int32, len(nodes)),
 		headGrid: geo.NewGrid(),
 	}, nil
 }
@@ -459,10 +463,7 @@ func (e *Election) Run() Result {
 	}
 	res.Affiliation = e.affiliate(res.Heads)
 	for _, h := range res.Heads {
-		e.lastled[h] = e.round
-		if n := e.nodeByID(h); n != nil {
-			n.MarkCH()
-		}
+		e.MarkLed(h)
 	}
 	sort.Ints(res.Vetoed)
 	return res
@@ -471,7 +472,7 @@ func (e *Election) Run() Result {
 // eligibleNode applies LEACH's rotation rule: a node that has led within
 // the cool-off window sits out, and a dead battery disqualifies.
 func (e *Election) eligibleNode(n *node.Node, cooloff int) bool {
-	if last, ok := e.lastled[n.ID()]; ok && e.round-last < cooloff {
+	if led := e.lastled[n.ID()]; led > 0 && e.round-int(led-1) < cooloff {
 		return false
 	}
 	if b := n.Battery(); b != nil && !b.Alive() {
@@ -483,9 +484,9 @@ func (e *Election) eligibleNode(n *node.Node, cooloff int) bool {
 // appoint is the station's fallback: pick the eligible node with the
 // highest persisted trust (energy as tiebreaker).
 func (e *Election) appoint() (int, bool) {
-	ids := make([]int, 0, len(e.nodes))
-	for _, n := range e.nodes {
-		ids = append(ids, n.ID())
+	ids := make([]int, len(e.nodes))
+	for id := range ids {
+		ids[id] = id
 	}
 	return e.AppointAmong(ids)
 }
@@ -526,8 +527,8 @@ func (e *Election) AppointAmong(ids []int) (int, bool) {
 // so the LEACH cool-off applies to emergency heads as it does to elected
 // ones.
 func (e *Election) MarkLed(id int) {
-	e.lastled[id] = e.round
 	if n := e.nodeByID(id); n != nil {
+		e.lastled[id] = int32(e.round + 1)
 		n.MarkCH()
 	}
 }
@@ -546,38 +547,40 @@ func (e *Election) MarkLed(id int) {
 // order. This turns O(members × heads) affiliation into
 // O(members × candidate cells) — the difference between hours and
 // seconds on a million-node, ten-thousand-head field.
-func (e *Election) affiliate(heads []int) map[int]int {
-	out := make(map[int]int, len(e.nodes))
+//
+// heads must be ascending node IDs, as Run produces them.
+func (e *Election) affiliate(heads []int) []int {
+	out := make([]int, len(e.nodes))
+	for id := range out {
+		out[id] = -1
+	}
 	if len(heads) == 0 {
 		return out
 	}
 	pts := e.headPts[:0]
 	for _, h := range heads {
-		var p geo.Point
-		if n := e.byID[h]; n != nil {
-			p = n.Pos()
-		}
-		pts = append(pts, p)
+		pts = append(pts, e.nodes[h].Pos())
 	}
 	e.headPts = pts
 	e.headGrid.Rebuild(pts, geo.AutoCell(pts))
 	rssKey := func(d float64) float64 { return -e.channel.RSS(d) }
-	for _, n := range e.nodes {
-		if _, isHead := sort.Find(len(heads), func(i int) int { return n.ID() - heads[i] }); isHead {
+	next := 0 // heads[next] is the first head not below the current ID
+	for id, n := range e.nodes {
+		if next < len(heads) && heads[next] == id {
+			next++
 			continue
 		}
-		idx, ok := e.headGrid.NearestByDist(n.Pos(), rssKey)
-		if !ok {
-			continue
+		if idx, ok := e.headGrid.NearestByDist(n.Pos(), rssKey); ok {
+			out[id] = heads[idx]
 		}
-		out[n.ID()] = heads[idx]
 	}
 	return out
 }
 
-func (e *Election) nodeByID(id int) *node.Node { return e.byID[id] }
-
-// NodeIndex returns the election's ID index over its population, so a
-// caller that needs the same lookup shares it instead of building a
-// second map. The map is the election's own: callers must not modify it.
-func (e *Election) NodeIndex() map[int]*node.Node { return e.byID }
+// nodeByID returns the node with the given ID, or nil if there is none.
+func (e *Election) nodeByID(id int) *node.Node {
+	if id < 0 || id >= len(e.nodes) {
+		return nil
+	}
+	return e.nodes[id]
+}

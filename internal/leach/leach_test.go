@@ -1,6 +1,9 @@
 package leach
 
 import (
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"github.com/tibfit/tibfit/internal/core"
@@ -127,7 +130,7 @@ func TestElectionProducesAHead(t *testing.T) {
 		if headSet[n.ID()] {
 			continue
 		}
-		if _, ok := res.Affiliation[n.ID()]; !ok {
+		if res.Affiliation[n.ID()] < 0 {
 			t.Fatalf("node %d unaffiliated", n.ID())
 		}
 	}
@@ -234,7 +237,7 @@ func TestAffiliationPicksStrongestSignal(t *testing.T) {
 func TestResultClusters(t *testing.T) {
 	res := Result{
 		Heads:       []int{1, 5},
-		Affiliation: map[int]int{2: 1, 3: 5, 4: 5},
+		Affiliation: []int{-1, -1, 1, 5, 5, -1},
 	}
 	clusters := res.Clusters()
 	if len(clusters[1]) != 2 || len(clusters[5]) != 3 {
@@ -242,6 +245,63 @@ func TestResultClusters(t *testing.T) {
 	}
 	if clusters[5][0] != 3 || clusters[5][2] != 5 {
 		t.Fatalf("cluster members not sorted: %v", clusters[5])
+	}
+}
+
+// TestClustersMatchAffiliation checks Clusters against a brute grouping
+// of the affiliation slice on seeded random populations: every head's
+// bucket holds the head and exactly the nodes affiliated with it, in
+// ascending ID order, and no other bucket exists.
+func TestClustersMatchAffiliation(t *testing.T) {
+	cfg := node.Config{Trust: trustParams()}
+	for seed := int64(1); seed <= 20; seed++ {
+		src := rng.New(seed)
+		nodes := make([]*node.Node, 20+src.Intn(200))
+		for i := range nodes {
+			p := geo.Point{X: src.Uniform(0, 200), Y: src.Uniform(0, 200)}
+			nodes[i] = node.MustNew(i, p, node.Correct, &cfg, src.Split("n"))
+		}
+		station, _ := NewStation(trustParams())
+		e := newElection(t, Config{HeadFraction: 0.1}, station, nodes, seed)
+		for round := 0; round < 3; round++ {
+			res := e.Run()
+			if len(res.Affiliation) != len(nodes) {
+				t.Fatalf("seed %d: affiliation covers %d of %d nodes", seed, len(res.Affiliation), len(nodes))
+			}
+			want := make(map[int][]int, len(res.Heads))
+			for _, h := range res.Heads {
+				want[h] = nil
+			}
+			for id := range nodes {
+				if h := res.Affiliation[id]; h >= 0 {
+					want[h] = append(want[h], id)
+				} else if _, isHead := want[id]; isHead {
+					want[id] = append(want[id], id)
+				}
+			}
+			for _, members := range want {
+				sort.Ints(members)
+			}
+			if got := res.Clusters(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d round %d: Clusters() = %v, brute grouping = %v", seed, round, got, want)
+			}
+		}
+	}
+}
+
+// TestNewElectionRejectsSparseIDs pins the dense-ID contract: node i must
+// carry ID i, and the error names the first index that does not.
+func TestNewElectionRejectsSparseIDs(t *testing.T) {
+	nodes := testNodes(t, 3)
+	cfg := node.Config{Trust: trustParams()}
+	nodes[1] = node.MustNew(7, geo.Point{X: 10}, node.Correct, &cfg, rng.New(1))
+	station, _ := NewStation(trustParams())
+	_, err := NewElection(Config{HeadFraction: 0.5}, station, testChannel(), nodes, rng.New(1))
+	if err == nil {
+		t.Fatal("accepted a population whose node 1 has ID 7")
+	}
+	if !strings.Contains(err.Error(), "index 1") {
+		t.Fatalf("error %q does not name index 1", err)
 	}
 }
 

@@ -22,7 +22,7 @@ func byzConfig(mode string) Config {
 // injectAround schedules count events at the given node's position,
 // period apart, starting at t0.
 func injectAround(h *harness, id, count int, t0, period float64) {
-	loc := h.net.byID[id].Pos()
+	loc := h.net.nodes[id].Pos()
 	for i := 0; i < count; i++ {
 		ev := i
 		_, _ = h.kernel.At(sim.Time(t0+float64(i)*period), func() { h.net.InjectEvent(ev, loc) })
@@ -56,7 +56,7 @@ func TestInvertingHeadIsQuarantinedAndReplaced(t *testing.T) {
 	if !h.net.Station().HeadQuarantined(liar) {
 		t.Fatal("station does not report the liar quarantined")
 	}
-	if cur := h.net.memberOf[liar]; cur == liar {
+	if cur := h.net.memberOf[liar]; int(cur) == liar {
 		t.Fatalf("liar %d still serving as head", liar)
 	}
 	// Masked decisions: the panel outvoted the lies, so the cluster's

@@ -85,7 +85,7 @@ func TestHeadCrashFailover(t *testing.T) {
 	// emergency head restores the snapshot, it must see this too.
 	sentinel := -1
 	for _, id := range h.net.NodeIDs() {
-		if h.net.memberOf[id] == dead && id != dead {
+		if int(h.net.memberOf[id]) == dead && id != dead {
 			sentinel = id
 			break
 		}
@@ -184,7 +184,7 @@ func TestCrashedNodesLeaveNRSet(t *testing.T) {
 				isHead = true
 			}
 		}
-		if _, isMember := h.net.memberOf[id]; isMember && !isHead &&
+		if isMember := h.net.memberOf[id] >= 0; isMember && !isHead &&
 			h.nodes[id].Pos().Dist(loc) < 15 {
 			dead = id
 			break
@@ -199,7 +199,7 @@ func TestCrashedNodesLeaveNRSet(t *testing.T) {
 		_, _ = h.kernel.At(sim.Time(float64(i+1)*10), func() { h.net.InjectEvent(i, loc) })
 	}
 	h.kernel.RunAll()
-	head := h.net.memberOf[dead]
+	head := int(h.net.memberOf[dead])
 	if cs := h.net.clusters[head]; cs != nil {
 		if _, seen := cs.scheme.(decision.Stateful).Snapshot()[dead]; seen {
 			t.Fatalf("crashed member %d was trust-judged while down", dead)
@@ -216,7 +216,7 @@ func TestDepletedNodeStopsReporting(t *testing.T) {
 	// Drain one non-head node to near-death: the first report flattens it.
 	victim := -1
 	for _, id := range h.net.NodeIDs() {
-		if _, isMember := h.net.memberOf[id]; isMember {
+		if isMember := h.net.memberOf[id] >= 0; isMember {
 			victim = id
 			break
 		}

@@ -226,19 +226,24 @@ type report struct {
 const defaultHeartbeatMisses = 3
 
 // Network is the assembled system.
+//
+// Node IDs are dense: nodes[id] carries ID id (New rejects any other
+// population), so state that every node has — the node itself, the head
+// it reports to — is a slice indexed by ID, and state that only some
+// nodes have — down, depleted, a buffered report, a compromise, a
+// serving head's cluster — is a map keyed by ID.
 type Network struct {
 	cfg      Config
 	kernel   *sim.Kernel
 	channel  *radio.Channel
 	nodes    []*node.Node
-	byID     map[int]*node.Node // the election's index, shared read-only
 	station  *leach.Station
 	election *leach.Election
 	model    energy.Model
 	tr       *trace.Trace
 
 	clusters map[int]*clusterState
-	memberOf map[int]int
+	memberOf []int32     // memberOf[id] is the head id reports to, -1 for none
 	mesh     *relay.Mesh // non-nil in multihop mode
 
 	// fieldGrid indexes the (static) node positions with cell size =
@@ -274,8 +279,10 @@ type Network struct {
 	rounds   int
 }
 
-// New assembles a network over the given nodes. Every node should carry a
-// battery if energy-aware election is desired (nil batteries are allowed).
+// New assembles a network over the given nodes. The node at index i must
+// carry ID i; a population that breaks this is rejected with an error
+// naming the first index that does. Every node should carry a battery if
+// energy-aware election is desired (nil batteries are allowed).
 func New(cfg Config, kernel *sim.Kernel, channel *radio.Channel,
 	nodes []*node.Node, src *rng.Source, tr *trace.Trace) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
@@ -303,13 +310,12 @@ func New(cfg Config, kernel *sim.Kernel, channel *radio.Channel,
 		kernel:   kernel,
 		channel:  channel,
 		nodes:    nodes,
-		byID:     election.NodeIndex(),
 		station:  station,
 		election: election,
 		model:    energy.DefaultModel(),
 		tr:       tr,
 		clusters: make(map[int]*clusterState),
-		memberOf: make(map[int]int),
+		memberOf: make([]int32, len(nodes)),
 
 		down:       make(map[int]bool),
 		depleted:   make(map[int]bool),
@@ -364,8 +370,19 @@ func (n *Network) Heads() []int {
 
 // HeadOf returns the head currently serving the given node.
 func (n *Network) HeadOf(nodeID int) (int, bool) {
-	h, ok := n.memberOf[nodeID]
-	return h, ok
+	if nodeID < 0 || nodeID >= len(n.memberOf) || n.memberOf[nodeID] < 0 {
+		return 0, false
+	}
+	return int(n.memberOf[nodeID]), true
+}
+
+// reportsTo returns the head a node's reports go to: its cluster's head,
+// or the node itself when it belongs to no cluster.
+func (n *Network) reportsTo(id int) int {
+	if h := n.memberOf[id]; h >= 0 {
+		return int(h)
+	}
+	return id
 }
 
 // Declared returns every event declaration so far, in decision order.
@@ -413,14 +430,11 @@ func (n *Network) Recluster() error {
 	}
 	n.rounds++
 	n.clusters = make(map[int]*clusterState, len(res.Heads))
-	n.memberOf = make(map[int]int, len(n.nodes))
-	clusters := res.Clusters()
-	heads := make([]int, 0, len(clusters))
-	for head := range clusters {
-		heads = append(heads, head)
+	for id := range n.memberOf {
+		n.memberOf[id] = -1
 	}
-	sort.Ints(heads)
-	for _, head := range heads {
+	clusters := res.Clusters()
+	for _, head := range res.Heads {
 		members := clusters[head]
 		cs, err := n.buildCluster(head, members)
 		if err != nil {
@@ -428,7 +442,7 @@ func (n *Network) Recluster() error {
 		}
 		n.clusters[head] = cs
 		for _, id := range members {
-			n.memberOf[id] = head
+			n.memberOf[id] = int32(head)
 		}
 		n.tr.Emit(float64(n.kernel.Now()), trace.KindCHElected, head,
 			"cluster of %d", len(members))
@@ -568,7 +582,7 @@ func (n *Network) buildCluster(head int, members []int) (*clusterState, error) {
 	}
 	pos := make(map[int]geo.Point, len(members))
 	for _, id := range members {
-		pos[id] = n.byID[id].Pos()
+		pos[id] = n.nodes[id].Pos()
 	}
 	cs.scheme = w
 	if n.cfg.Mode == ModeBinary {
@@ -579,14 +593,14 @@ func (n *Network) buildCluster(head int, members []int) (*clusterState, error) {
 			func(o aggregator.BinaryOutcome) {
 				if o.Decision.Occurred {
 					n.declared = append(n.declared, Declaration{
-						Head: head, Loc: n.byID[head].Pos(), Time: o.DecideTime,
+						Head: head, Loc: n.nodes[head].Pos(), Time: o.DecideTime,
 					})
 					if n.cfg.CHQuarantine {
 						n.judgeDeclaration(head)
 					}
 				}
 			},
-			func(id int, correct bool) { n.byID[id].ObserveVerdict(correct) },
+			func(id int, correct bool) { n.nodes[id].ObserveVerdict(correct) },
 			n.tr)
 		if err != nil {
 			return nil, err
@@ -613,7 +627,7 @@ func (n *Network) buildCluster(head int, members []int) (*clusterState, error) {
 				}
 			}
 		},
-		func(id int, correct bool) { n.byID[id].ObserveVerdict(correct) },
+		func(id int, correct bool) { n.nodes[id].ObserveVerdict(correct) },
 		n.tr)
 	if err != nil {
 		return nil, err
@@ -647,11 +661,7 @@ func (n *Network) InjectEvent(eventID int, loc geo.Point) {
 			n.markDepleted(id)
 			continue
 		}
-		head, ok := n.memberOf[id]
-		if !ok {
-			head = id
-		}
-		if _, ok := n.clusters[head]; !ok {
+		if _, ok := n.clusters[n.reportsTo(id)]; !ok {
 			// No serving cluster (e.g. out of every head's range, or the
 			// cluster was orphaned): the node does not even sense, matching
 			// the pre-failover pipeline's draw order.
@@ -698,7 +708,7 @@ func (n *Network) bufferReport(id int, rep report) {
 // every attempt so retries follow a failover to the new head. With
 // ReportRetries zero the behaviour is the paper's fire-and-forget send.
 func (n *Network) transmitReport(id int, rep report, attempt int) {
-	nd := n.byID[id]
+	nd := n.nodes[id]
 	if n.down[id] {
 		return // the sender crashed between backoff and retry
 	}
@@ -706,16 +716,13 @@ func (n *Network) transmitReport(id int, rep report, attempt int) {
 		n.markDepleted(id)
 		return
 	}
-	head, ok := n.memberOf[id]
-	if !ok {
-		head = id
-	}
+	head := n.reportsTo(id)
 	cs, ok := n.clusters[head]
 	if !ok {
 		return // cluster orphaned: nobody left to report to
 	}
 	if b := nd.Battery(); b != nil {
-		b.Draw(n.model.TxCost(n.cfg.ReportBits, nd.Pos().Dist(n.byID[head].Pos())))
+		b.Draw(n.model.TxCost(n.cfg.ReportBits, nd.Pos().Dist(n.nodes[head].Pos())))
 	}
 	if id == head {
 		// The head's own sensing result needs no radio.
@@ -727,7 +734,7 @@ func (n *Network) transmitReport(id int, rep report, attempt int) {
 		n.mesh.Send(id, head, func() { n.deliverReport(cs, id, rep) }, nil)
 		return
 	}
-	out := n.channel.Send(nd.Pos(), n.byID[head].Pos(), func() {
+	out := n.channel.Send(nd.Pos(), n.nodes[head].Pos(), func() {
 		// Arrival: the head acknowledges only if it is still up and still
 		// serving. A crashed or replaced head returns no ACK.
 		if n.cfg.ReportRetries > 0 && (n.down[head] || n.clusters[head] == nil) {
@@ -836,7 +843,7 @@ func (n *Network) suppress(cs *clusterState, reporters, silent []int) (kept, aug
 // later crash clears the compromise (the adversary loses the mote along
 // with everyone else).
 func (n *Network) CompromiseHead(id int, b chaos.Behavior) {
-	if _, ok := n.byID[id]; !ok || n.down[id] {
+	if id < 0 || id >= len(n.nodes) || n.down[id] {
 		return
 	}
 	n.byz[id] = b
@@ -900,7 +907,7 @@ func (n *Network) quarantineHead(id int) {
 	delete(n.clusters, id)
 	n.clusters[newHead] = rebuilt
 	for _, m := range cs.members {
-		n.memberOf[m] = newHead
+		n.memberOf[m] = int32(newHead)
 	}
 	n.election.MarkLed(newHead)
 	n.tr.Emit(float64(n.kernel.Now()), trace.KindCHFailover, newHead,
@@ -952,7 +959,7 @@ func (n *Network) memberUp(id int) bool {
 	if n.down[id] {
 		return false
 	}
-	if b := n.byID[id].Battery(); b != nil && !b.Alive() {
+	if b := n.nodes[id].Battery(); b != nil && !b.Alive() {
 		return false
 	}
 	return true
@@ -961,11 +968,10 @@ func (n *Network) memberUp(id int) bool {
 // NodeIDs returns every node ID, sorted. Together with Heads, CrashNode,
 // and RecoverNode it forms the chaos-injection surface (chaos.Target).
 func (n *Network) NodeIDs() []int {
-	out := make([]int, 0, len(n.nodes))
-	for _, nd := range n.nodes {
-		out = append(out, nd.ID())
+	out := make([]int, len(n.nodes))
+	for id := range out {
+		out[id] = id
 	}
-	sort.Ints(out)
 	return out
 }
 
@@ -978,10 +984,7 @@ func (n *Network) Down(id int) bool { return n.down[id] }
 // a head crash schedules the base station's liveness detection, which
 // triggers failover HeartbeatPeriod×HeartbeatMisses later. Idempotent.
 func (n *Network) CrashNode(id int) {
-	if n.down[id] {
-		return
-	}
-	if _, ok := n.byID[id]; !ok {
+	if id < 0 || id >= len(n.nodes) || n.down[id] {
 		return
 	}
 	n.down[id] = true
@@ -1064,7 +1067,7 @@ func (n *Network) failoverCheck(dead int, crashedAt sim.Time) {
 	delete(n.clusters, dead)
 	n.clusters[newHead] = rebuilt
 	for _, id := range cs.members {
-		n.memberOf[id] = newHead
+		n.memberOf[id] = int32(newHead)
 	}
 	n.election.MarkLed(newHead)
 	n.tr.Emit(float64(n.kernel.Now()), trace.KindCHFailover, newHead,

@@ -302,6 +302,27 @@ func TestMultihopNetworkDetectsEvents(t *testing.T) {
 	}
 }
 
+// TestNewRejectsSparseIDs pins the dense-ID contract the network's
+// per-node slices rest on: node i must carry ID i, and the error names
+// the first index that does not.
+func TestNewRejectsSparseIDs(t *testing.T) {
+	kernel := sim.New()
+	ch := radio.NewChannel(radio.DefaultConfig(), kernel, rng.New(1))
+	cfg := node.Config{Trust: DefaultConfig().Trust}
+	nodes := []*node.Node{
+		node.MustNew(0, geo.Point{}, node.Correct, &cfg, rng.New(2)),
+		node.MustNew(7, geo.Point{X: 10}, node.Correct, &cfg, rng.New(3)),
+		node.MustNew(2, geo.Point{X: 20}, node.Correct, &cfg, rng.New(4)),
+	}
+	_, err := New(DefaultConfig(), kernel, ch, nodes, rng.New(5), nil)
+	if err == nil {
+		t.Fatal("accepted a population whose node 1 has ID 7")
+	}
+	if !strings.Contains(err.Error(), "index 1") {
+		t.Fatalf("error %q does not name index 1", err)
+	}
+}
+
 func TestMultihopRequiresFiniteRange(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Multihop = true

@@ -2,7 +2,6 @@ package network
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"github.com/tibfit/tibfit/internal/geo"
@@ -49,7 +48,7 @@ func (n *Network) RenderField(cols, rows int) string {
 	// The base station's persisted view plus live state: prefer the live
 	// cluster scheme for members of active clusters.
 	ti := func(id int) (float64, bool) {
-		if head, ok := n.memberOf[id]; ok {
+		if head, ok := n.HeadOf(id); ok {
 			if cs, ok := n.clusters[head]; ok {
 				return cs.scheme.TI(id), cs.scheme.Isolated(id)
 			}
@@ -145,14 +144,9 @@ type TrustCensus struct {
 // station state merged with the live cluster tables.
 func (n *Network) Census() TrustCensus {
 	var c TrustCensus
-	ids := make([]int, 0, len(n.nodes))
-	for _, nd := range n.nodes {
-		ids = append(ids, nd.ID())
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
+	for id := range n.nodes {
 		var trust float64
-		if head, ok := n.memberOf[id]; ok {
+		if head, ok := n.HeadOf(id); ok {
 			if cs, ok := n.clusters[head]; ok {
 				trust = cs.scheme.TI(id)
 			}

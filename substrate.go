@@ -104,7 +104,9 @@ type (
 	LEACHConfig = leach.Config
 	// Election runs LEACH rounds over a node population.
 	Election = leach.Election
-	// ElectionResult is the outcome of one election round.
+	// ElectionResult is the outcome of one election round. Its
+	// Affiliation is a []int indexed by node ID: each non-head node's
+	// head, or -1 for a head and for a node that heard no head.
 	ElectionResult = leach.Result
 	// Station is the base station persisting trust across CH terms.
 	Station = leach.Station
@@ -113,7 +115,10 @@ type (
 // NewStation returns a base station persisting trust under params.
 func NewStation(params TrustParams) (*Station, error) { return leach.NewStation(params) }
 
-// NewElection returns an election controller over the given nodes.
+// NewElection returns an election controller over the given nodes. Node
+// IDs must be dense: nodes[i] carries ID i (build node i with
+// NewSensorNode(i, ...)); any other population is rejected with an error
+// naming the first index that breaks it.
 func NewElection(cfg LEACHConfig, station *Station, channel *Radio,
 	nodes []*SensorNode, src *Rand) (*Election, error) {
 	return leach.NewElection(cfg, station, channel, nodes, src)
@@ -200,7 +205,9 @@ type (
 // DefaultNetworkConfig returns Table-2-like whole-system parameters.
 func DefaultNetworkConfig() NetworkConfig { return network.DefaultConfig() }
 
-// NewNetwork assembles a network over the given nodes.
+// NewNetwork assembles a network over the given nodes. As with
+// NewElection, nodes[i] must carry ID i; any other population is rejected
+// with an error naming the first index that breaks it.
 func NewNetwork(cfg NetworkConfig, kernel *Kernel, channel *Radio,
 	nodes []*SensorNode, src *Rand, tr *Trace) (*Network, error) {
 	return network.New(cfg, kernel, channel, nodes, src, tr)
