@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 )
@@ -44,6 +45,27 @@ func TestRunFieldDeterministic(t *testing.T) {
 	}
 	if a != b {
 		t.Fatalf("same seed diverged: %+v vs %+v", a, b)
+	}
+}
+
+// TestRunFieldPinned pins the default-scale campaign's full result at
+// three seeds, so a change to population set-up, stream naming or
+// placement that shifts any draw shows here.
+func TestRunFieldPinned(t *testing.T) {
+	want := []string{
+		"{Nodes:2500 Heads:30 Detected:1 Declarations:20}",
+		"{Nodes:2500 Heads:31 Detected:1 Declarations:12}",
+		"{Nodes:2500 Heads:28 Detected:1 Declarations:13}",
+	}
+	for i, w := range want {
+		seed := int64(i + 1)
+		res, err := RunField(FieldConfig{Nodes: 2500, Events: 10, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%+v", res); got != w {
+			t.Errorf("seed %d: got %s, want %s", seed, got, w)
+		}
 	}
 }
 

@@ -15,8 +15,13 @@ import (
 // intentional behaviour change:
 //
 //	go run ./cmd/tibfit-figures -out /tmp/g -runs 2 -events 40 -seed 5 \
-//	    -only figure2,figure8
-//	cp /tmp/g/figure{2,8}.csv internal/experiment/testdata/golden-...
+//	    -only figure2,figure8,ext-resilience,ext-byzantine-resilience
+//	cp /tmp/g/<id>.csv internal/experiment/testdata/golden-<id>.csv
+//
+// The two chaos-campaign goldens (ext-resilience,
+// ext-byzantine-resilience) pin the network assembly end to end: node
+// population and stream names, grid placement, chaos plans, failover,
+// quarantine and the detection match.
 //
 // Each golden is checked at several -parallel worker counts. The CSVs
 // were captured on the binary-heap event queue with one worker; the
@@ -35,6 +40,8 @@ func TestGoldenFigures(t *testing.T) {
 	}{
 		{"figure2", "golden-figure2.csv"},
 		{"figure8", "golden-figure8.csv"},
+		{"ext-resilience", "golden-ext-resilience.csv"},
+		{"ext-byzantine-resilience", "golden-ext-byzantine-resilience.csv"},
 	} {
 		want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
 		if err != nil {

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/tibfit/tibfit/internal/node"
@@ -49,6 +50,21 @@ func TestTrackingDeterministic(t *testing.T) {
 	}
 	if a != b {
 		t.Fatalf("same config diverged: %+v vs %+v", a, b)
+	}
+}
+
+// TestTrackingPinned pins the default campaign's full result: the
+// compromise order and coalition streams are split before the node
+// streams, and any change to that order or to population set-up shows
+// here.
+func TestTrackingPinned(t *testing.T) {
+	res, err := RunTracking(DefaultTracking())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "{Accuracy:0.9925 MeanTrackErr:0.7759452936210981 MaxGap:1 FalsePositiveRate:0}"
+	if got := fmt.Sprintf("%+v", res); got != want {
+		t.Errorf("got %s, want %s", got, want)
 	}
 }
 
