@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race test-short conformance vet lint lint-fix bench bench-kernel profile figures validate examples fuzz soak serve load serve-smoke clean
+.PHONY: all build test test-race test-short conformance vet lint lint-fix bench bench-kernel profile figures figures-identical validate examples fuzz soak serve load serve-smoke clean
 
 all: build lint test
 
@@ -77,6 +77,29 @@ profile:
 # Regenerate every paper figure's data files into figures/.
 figures:
 	$(GO) run ./cmd/tibfit-figures -out figures -runs 3
+
+# Byte-identity gate for refactors: check out BASE (default HEAD) in a
+# temporary git worktree, regenerate every tibfit-figures output at
+# -runs 1 and -runs 3 from it and from this tree, and cmp each pair.
+# Fails naming the first file that differs; the worktree is removed
+# either way.
+BASE ?= HEAD
+figures-identical:
+	@tmp=$$(mktemp -d) || exit 1; \
+	trap 'git worktree remove --force "$$tmp/base" >/dev/null 2>&1; git worktree prune; rm -rf "$$tmp"' EXIT; \
+	git worktree add --detach "$$tmp/base" "$(BASE)" >/dev/null 2>&1 || { echo "figures-identical: cannot check out $(BASE)" >&2; exit 1; }; \
+	for runs in 1 3; do \
+		(cd "$$tmp/base" && $(GO) run ./cmd/tibfit-figures -out "$$tmp/base-$$runs" -runs $$runs >/dev/null) || exit 1; \
+		$(GO) run ./cmd/tibfit-figures -out "$$tmp/tree-$$runs" -runs $$runs >/dev/null || exit 1; \
+		if [ "$$(ls "$$tmp/base-$$runs")" != "$$(ls "$$tmp/tree-$$runs")" ]; then \
+			echo "figures-identical: -runs $$runs writes a different set of files than $(BASE)" >&2; exit 1; \
+		fi; \
+		for f in $$(ls "$$tmp/base-$$runs"); do \
+			cmp -s "$$tmp/base-$$runs/$$f" "$$tmp/tree-$$runs/$$f" || \
+				{ echo "figures-identical: $$f differs from $(BASE) at -runs $$runs" >&2; exit 1; }; \
+		done; \
+		echo "figures-identical: $$(ls "$$tmp/tree-$$runs" | wc -l) files match $(BASE) at -runs $$runs"; \
+	done
 
 # Rerun the paper's headline claims against the live simulation.
 validate:

@@ -20,7 +20,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 
 	"github.com/tibfit/tibfit/internal/chaos"
 	"github.com/tibfit/tibfit/internal/cli"
@@ -164,18 +163,15 @@ func run(args []string, out *os.File) error {
 	area := geo.NewRect(fieldSide, fieldSide)
 	positions := workload.GridPlacement(area, *nNodes)
 	nFaulty := int(float64(*nNodes)**faulty + 0.5)
-	nodes := make([]*node.Node, len(positions))
-	for i, p := range positions {
-		kind := node.Correct
+	nodes, err := node.NewPopulation(&nodeCfg, positions, root)
+	if err != nil {
+		return err
+	}
+	for i, n := range nodes {
 		if i < nFaulty {
-			kind = node.Level0
-		}
-		n, err := node.New(i, p, kind, &nodeCfg, root.Split("node"+strconv.Itoa(i)))
-		if err != nil {
-			return err
+			n.Compromise(node.Level0)
 		}
 		n.AttachBattery(energy.NewBattery(1e7))
-		nodes[i] = n
 	}
 
 	tr := trace.New()

@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 	"math"
-	"strconv"
 
 	"github.com/tibfit/tibfit/internal/geo"
 	"github.com/tibfit/tibfit/internal/network"
@@ -157,13 +156,9 @@ func newField(cfg FieldConfig) (*field, error) {
 	side := cfg.Spacing * math.Sqrt(float64(cfg.Nodes))
 	area := geo.NewRect(side, side)
 	positions := workload.UniformPlacement(area, cfg.Nodes, root.Split("placement"))
-	nodes := make([]*node.Node, len(positions))
-	for i, p := range positions {
-		n, err := node.New(i, p, node.Correct, &nodeCfg, root.Split("node-"+strconv.Itoa(i)))
-		if err != nil {
-			return nil, err
-		}
-		nodes[i] = n
+	nodes, err := node.NewPopulation(&nodeCfg, positions, root)
+	if err != nil {
+		return nil, err
 	}
 	net, err := network.New(netCfg, kernel, channel, nodes, root.Split("net"), tr)
 	if err != nil {

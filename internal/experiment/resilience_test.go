@@ -13,6 +13,7 @@ func TestResilienceConfigValidate(t *testing.T) {
 		func(c *ResilienceConfig) { c.Period = c.Tout },
 		func(c *ResilienceConfig) { c.CrashFraction = 1.5 },
 		func(c *ResilienceConfig) { c.HeadCrashes = -1 },
+		func(c *ResilienceConfig) { c.Reclusters = -1 },
 	}
 	for i, mutate := range bad {
 		cfg := DefaultResilience()

@@ -324,20 +324,39 @@ type Result struct {
 
 // Clusters groups node IDs by their head, including the head itself.
 // It walks the IDs in ascending order, so each member list comes out
-// sorted and its backing array is built identically on every run.
+// sorted and its backing array is built identically on every run. A
+// counting pass sizes every list first, and the lists share one backing
+// array, each capped at its own length: they hold exactly the IDs.
 func (r Result) Clusters() map[int][]int {
+	sizes := make(map[int]int, len(r.Heads))
+	for _, h := range r.Heads {
+		sizes[h] = 0
+	}
+	owner := func(id int) int {
+		if h := r.Affiliation[id]; h >= 0 {
+			return h
+		}
+		if _, isHead := sizes[id]; isHead {
+			return id
+		}
+		return -1
+	}
+	total := 0
+	for id := range r.Affiliation {
+		if h := owner(id); h >= 0 {
+			sizes[h]++
+			total++
+		}
+	}
+	backing := make([]int, total)
 	out := make(map[int][]int, len(r.Heads))
 	for _, h := range r.Heads {
-		out[h] = nil
+		out[h], backing = backing[:0:sizes[h]], backing[sizes[h]:]
 	}
-	for id, h := range r.Affiliation {
-		if h < 0 {
-			if _, isHead := out[id]; !isHead {
-				continue
-			}
-			h = id
+	for id := range r.Affiliation {
+		if h := owner(id); h >= 0 {
+			out[h] = append(out[h], id)
 		}
-		out[h] = append(out[h], id)
 	}
 	return out
 }

@@ -246,6 +246,11 @@ func TestResultClusters(t *testing.T) {
 	if clusters[5][0] != 3 || clusters[5][2] != 5 {
 		t.Fatalf("cluster members not sorted: %v", clusters[5])
 	}
+	for h, members := range clusters {
+		if cap(members) != len(members) {
+			t.Errorf("cluster %d holds %d IDs in a backing array of %d", h, len(members), cap(members))
+		}
+	}
 }
 
 // TestClustersMatchAffiliation checks Clusters against a brute grouping

@@ -21,6 +21,7 @@ package node
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"github.com/tibfit/tibfit/internal/core"
 	"github.com/tibfit/tibfit/internal/energy"
@@ -190,6 +191,30 @@ func New(id int, pos geo.Point, kind Kind, cfg *Config, src *rng.Source) (*Node,
 		n.Compromise(kind)
 	}
 	return n, nil
+}
+
+// NewPopulation returns the population every simulated network runs:
+// node i has ID i, sits at positions[i], starts Correct, and draws from
+// its own stream, split from root as "node-<i>" in ID order (one draw
+// from root per node). Every node shares cfg, validated once here. A
+// caller that starts with faulty nodes compromises them afterwards;
+// Compromise draws nothing, so that is bit-identical to building them
+// faulty.
+func NewPopulation(cfg *Config, positions []geo.Point, root *rng.Source) ([]*Node, error) {
+	if cfg == nil {
+		return nil, fmt.Errorf("node: nil population config")
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if root == nil {
+		return nil, fmt.Errorf("node: nil population rng source")
+	}
+	nodes := make([]*Node, len(positions))
+	for i, p := range positions {
+		nodes[i] = &Node{id: i, pos: p, kind: Correct, cfg: cfg, src: root.Split("node-" + strconv.Itoa(i))}
+	}
+	return nodes, nil
 }
 
 // MustNew is New for tests and examples with known-good configs.

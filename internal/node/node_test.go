@@ -2,6 +2,7 @@ package node
 
 import (
 	"math"
+	"strconv"
 	"testing"
 	"unsafe"
 
@@ -67,6 +68,39 @@ func TestNewRejectsNilSource(t *testing.T) {
 func TestNewRejectsNilConfig(t *testing.T) {
 	if _, err := New(1, geo.Point{}, Correct, nil, rng.New(1)); err == nil {
 		t.Fatal("New accepted nil config")
+	}
+}
+
+// TestNewPopulation pins the population rule: node i has ID i and
+// position i, starts correct, shares the one config, and draws from the
+// stream split from the root as "node-<i>" in ID order.
+func TestNewPopulation(t *testing.T) {
+	cfg := testConfigPtr()
+	positions := []geo.Point{{X: 1}, {X: 2}, {X: 3}}
+	nodes, err := NewPopulation(cfg, positions, rng.New(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := rng.New(7)
+	for i, n := range nodes {
+		if n.ID() != i || n.Pos() != positions[i] || n.Kind() != Correct || n.cfg != cfg {
+			t.Fatalf("node %d: id %d pos %v kind %v shared cfg %t", i, n.ID(), n.Pos(), n.Kind(), n.cfg == cfg)
+		}
+		want := ref.Split("node-" + strconv.Itoa(i))
+		if got, w := n.src.Int63(), want.Int63(); got != w {
+			t.Fatalf("node %d draws %d, want %d from its named stream", i, got, w)
+		}
+	}
+	bad := *cfg
+	bad.NER = 2
+	for name, call := range map[string]func() error{
+		"nil config":     func() error { _, err := NewPopulation(nil, positions, rng.New(1)); return err },
+		"invalid config": func() error { _, err := NewPopulation(&bad, positions, rng.New(1)); return err },
+		"nil root":       func() error { _, err := NewPopulation(cfg, positions, nil); return err },
+	} {
+		if call() == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 

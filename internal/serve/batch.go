@@ -137,8 +137,8 @@ func (s *Server) handleReportsBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	sc := batchPool.Get().(*batchScratch)
 	defer batchPool.Put(sc)
-	if err := sc.readFrom(io.LimitReader(r.Body, maxBodyBytes)); err != nil {
-		writeError(w, http.StatusBadRequest, "reading report batch: %v", err)
+	if err := sc.readFrom(limitBody(w, r)); err != nil {
+		writeBodyError(w, "reading report batch", err)
 		return
 	}
 	if badAt := sc.parseNodes(); badAt >= 0 {

@@ -291,6 +291,27 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
+// limitBody caps a request body at maxBodyBytes. A read past the cap
+// fails with *http.MaxBytesError rather than ending the body early, so a
+// cut-off batch is never parsed as a shorter one; writeBodyError answers
+// that error with 413.
+func limitBody(w http.ResponseWriter, r *http.Request) io.Reader {
+	return http.MaxBytesReader(w, r.Body, maxBodyBytes)
+}
+
+// writeBodyError answers a body that could not be read or decoded: 413
+// naming the limit when the body was over it, 400 otherwise.
+func writeBodyError(w http.ResponseWriter, what string, err error) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		//lint:allow hotalloc error path: runs at most once per rejected request, never per report
+		writeError(w, http.StatusRequestEntityTooLarge, "%s: body exceeds the %d-byte limit", what, tooBig.Limit)
+		return
+	}
+	//lint:allow hotalloc error path: runs at most once per rejected request, never per report
+	writeError(w, http.StatusBadRequest, "%s: %v", what, err)
+}
+
 // lookup resolves the {tenant} path value, writing a 404 on a miss.
 func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*tenant, bool) {
 	name := r.PathValue("tenant")
@@ -381,9 +402,8 @@ func (s *Server) handleListTenants(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleCreateTenant(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("tenant")
 	var cfg TenantConfig
-	body := io.LimitReader(r.Body, maxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&cfg); err != nil && err != io.EOF {
-		writeError(w, http.StatusBadRequest, "decoding tenant config: %v", err)
+	if err := json.NewDecoder(limitBody(w, r)).Decode(&cfg); err != nil && err != io.EOF {
+		writeBodyError(w, "decoding tenant config", err)
 		return
 	}
 	if err := s.CreateTenant(name, cfg); err != nil {
@@ -475,9 +495,8 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req reportRequest
-	body := io.LimitReader(r.Body, maxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding report batch: %v", err)
+	if err := json.NewDecoder(limitBody(w, r)).Decode(&req); err != nil {
+		writeBodyError(w, "decoding report batch", err)
 		return
 	}
 	if len(req.Nodes) == 0 {
@@ -558,9 +577,9 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	blob, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
+	blob, err := io.ReadAll(limitBody(w, r))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading snapshot body: %v", err)
+		writeBodyError(w, "reading snapshot body", err)
 		return
 	}
 	if err := t.inst.RestoreSealed(blob); err != nil {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -311,6 +312,47 @@ func TestServeRejectsOversizedNodes(t *testing.T) {
 	status, body := do(t, http.MethodPost, ts.URL+"/v1/tenants/huge", []byte(cfg))
 	if status != http.StatusBadRequest || !strings.Contains(string(body), "exceeds") {
 		t.Fatalf("oversized nodes: HTTP %d: %s, want 400", status, body)
+	}
+}
+
+// TestServeRejectsOversizedBodies pins the body bound on every endpoint
+// that reads one: a body past maxBodyBytes is a 413 naming the limit,
+// and nothing of it lands. The line batch is 174,772 lines of "99999\n"
+// (1,048,632 bytes), so the 1 MiB cut falls mid-line: read as a shorter
+// batch, its last partial line would be a report from node 9999.
+func TestServeRejectsOversizedBodies(t *testing.T) {
+	s, ts := testServer(t)
+	mustCreate(t, ts, "alpha", `{"tout":1000,"nodes":100000}`)
+	lines := bytes.Repeat([]byte("99999\n"), 174_772)
+	nodes := append([]byte(`{"nodes":[`), bytes.Repeat([]byte("99999,"), 174_762)...)
+	nodes = append(nodes, "99999]}"...)
+	members := append([]byte(`{"members":[`), bytes.Repeat([]byte("99999,"), 174_762)...)
+	members = append(members, "99999]}"...)
+	for _, tc := range []struct {
+		method, path string
+		body         []byte
+	}{
+		{http.MethodPost, "/v1/tenants/alpha/reports/batch", lines},
+		{http.MethodPost, "/v1/tenants/alpha/reports", nodes},
+		{http.MethodPost, "/v1/tenants/beta", members},
+		{http.MethodPut, "/v1/tenants/alpha/snapshot", lines},
+	} {
+		if len(tc.body) <= maxBodyBytes {
+			t.Fatalf("%s %s: test body is %d bytes, not past the limit", tc.method, tc.path, len(tc.body))
+		}
+		status, body := do(t, tc.method, ts.URL+tc.path, tc.body)
+		if status != http.StatusRequestEntityTooLarge || !strings.Contains(string(body), strconv.Itoa(maxBodyBytes)) {
+			t.Errorf("%s %s: HTTP %d: %s, want 413 naming the %d-byte limit", tc.method, tc.path, status, body, maxBodyBytes)
+		}
+	}
+	s.mu.RLock()
+	alpha, beta := s.tenants["alpha"], s.tenants["beta"]
+	s.mu.RUnlock()
+	if n := alpha.inst.ReportCount(); n != 0 {
+		t.Errorf("oversized batches landed %d reports, want none", n)
+	}
+	if beta != nil {
+		t.Error("an oversized tenant config created the tenant")
 	}
 }
 
