@@ -85,68 +85,81 @@ func runCells[T any](opts FigureOptions, n int, run func(i int) (T, error)) ([]T
 
 // gridFigure runs the common figure shape — len(labels) series sampled
 // at the same x values, every (series, x) cell an independent simulation
-// returning an accuracy in [0, 1] — on the campaign pool, and assembles
-// the series in declaration order (cells merge by index, so the output
-// is identical at any worker count). Axis values and accuracies are
-// scaled to percent, as all these figures plot.
-func gridFigure(opts FigureOptions, labels []string, xs []float64,
-	cell func(series, xi int) (float64, error)) ([]metrics.Series, error) {
+// returning an accuracy in [0, 1] — on the campaign pool, and returns fig
+// with the series in declaration order (cells merge by index, so the
+// output is identical at any worker count). Axis values and accuracies
+// are scaled to percent, as all these figures plot.
+func gridFigure(opts FigureOptions, fig metrics.Figure, labels []string, xs []float64,
+	cell func(series, xi int) (float64, error)) (metrics.Figure, error) {
 	vals, err := runCells(opts, len(labels)*len(xs), func(i int) (float64, error) {
 		return cell(i/len(xs), i%len(xs))
 	})
 	if err != nil {
-		return nil, err
+		return metrics.Figure{}, err
 	}
-	series := make([]metrics.Series, len(labels))
+	fig.Series = make([]metrics.Series, len(labels))
 	for si, label := range labels {
 		s := metrics.Series{Label: label}
 		for xi, x := range xs {
 			s.Add(x*100, vals[si*len(xs)+xi]*100)
 		}
-		series[si] = s
+		fig.Series[si] = s
 	}
-	return series, nil
+	return fig, nil
 }
 
-// exp1Cell builds the per-cell exp1 config shared by figures 2 and 3.
-func exp1Cell(opts FigureOptions, frac float64) Exp1Config {
-	cfg := DefaultExp1()
-	cfg.FaultyFraction = frac
-	cfg.Runs = opts.Runs
-	cfg.Seed = opts.Seed
-	if opts.Events > 0 {
-		cfg.Events = opts.Events
-	}
-	if opts.Scheme != "" {
-		cfg.Scheme = opts.Scheme
-	}
-	if opts.Lambda > 0 {
-		cfg.Lambda = opts.Lambda
-	}
-	return cfg
+// exp1Figure is gridFigure over Exp1Sweep with every cell an experiment-1
+// run at the cell's compromised fraction: the defaults with the options'
+// runs, seed, events, scheme and λ, set up by vary for the cell's series.
+func exp1Figure(opts FigureOptions, fig metrics.Figure, labels []string,
+	vary func(series int, cfg *Exp1Config)) (metrics.Figure, error) {
+	return gridFigure(opts, fig, labels, Exp1Sweep, func(si, xi int) (float64, error) {
+		cfg := DefaultExp1()
+		cfg.FaultyFraction = Exp1Sweep[xi]
+		cfg.Runs = opts.Runs
+		cfg.Seed = opts.Seed
+		if opts.Events > 0 {
+			cfg.Events = opts.Events
+		}
+		if opts.Scheme != "" {
+			cfg.Scheme = opts.Scheme
+		}
+		if opts.Lambda > 0 {
+			cfg.Lambda = opts.Lambda
+		}
+		vary(si, &cfg)
+		res, err := RunExp1(cfg)
+		return res.Accuracy, err
+	})
 }
 
-// exp2Cell builds the per-cell exp2 config shared by the level figures.
-// Scheme-comparison figures overwrite cfg.Scheme after this, so the
-// opts.Scheme override only reaches figures with a single free scheme.
-func exp2Cell(opts FigureOptions, frac float64) Exp2Config {
-	cfg := DefaultExp2()
-	cfg.FaultyFraction = frac
-	cfg.Runs = opts.Runs
-	cfg.Seed = opts.Seed
-	if opts.Events > 0 {
-		cfg.Events = opts.Events
-	}
-	if opts.Scheme != "" {
-		cfg.Scheme = opts.Scheme
-	}
-	if opts.Lambda > 0 {
-		cfg.Lambda = opts.Lambda
-	}
-	if opts.FaultRate > 0 {
-		cfg.FaultRate = opts.FaultRate
-	}
-	return cfg
+// exp2Figure is exp1Figure for experiment 2, over Exp2Sweep, with the
+// options' f_r applied too. Scheme-comparison figures overwrite
+// cfg.Scheme in vary, so the opts.Scheme override only reaches figures
+// with a single free scheme.
+func exp2Figure(opts FigureOptions, fig metrics.Figure, labels []string,
+	vary func(series int, cfg *Exp2Config)) (metrics.Figure, error) {
+	return gridFigure(opts, fig, labels, Exp2Sweep, func(si, xi int) (float64, error) {
+		cfg := DefaultExp2()
+		cfg.FaultyFraction = Exp2Sweep[xi]
+		cfg.Runs = opts.Runs
+		cfg.Seed = opts.Seed
+		if opts.Events > 0 {
+			cfg.Events = opts.Events
+		}
+		if opts.Scheme != "" {
+			cfg.Scheme = opts.Scheme
+		}
+		if opts.Lambda > 0 {
+			cfg.Lambda = opts.Lambda
+		}
+		if opts.FaultRate > 0 {
+			cfg.FaultRate = opts.FaultRate
+		}
+		vary(si, &cfg)
+		res, err := RunExp2(cfg)
+		return res.Accuracy, err
+	})
 }
 
 // Figure2 regenerates figure 2: binary-event accuracy vs percentage of
@@ -159,26 +172,15 @@ func Figure2(opts FigureOptions) (metrics.Figure, error) {
 	for i, ner := range ners {
 		labels[i] = fmt.Sprintf("NER %g%%", ner*100)
 	}
-	series, err := gridFigure(opts, labels, Exp1Sweep, func(si, xi int) (float64, error) {
-		cfg := exp1Cell(opts, Exp1Sweep[xi])
-		cfg.NER = ners[si]
-		cfg.FalseAlarmProb = 0
-		res, err := RunExp1(cfg)
-		if err != nil {
-			return 0, err
-		}
-		return res.Accuracy, nil
-	})
-	if err != nil {
-		return metrics.Figure{}, err
-	}
-	return metrics.Figure{
+	return exp1Figure(opts, metrics.Figure{
 		ID:     "figure2",
 		Title:  "Experiment 1 — missed alarms only (TIBFIT)",
 		XLabel: "% faulty",
 		YLabel: "accuracy %",
-		Series: series,
-	}, nil
+	}, labels, func(si int, cfg *Exp1Config) {
+		cfg.NER = ners[si]
+		cfg.FalseAlarmProb = 0
+	})
 }
 
 // Figure3 regenerates figure 3: binary-event accuracy with faulty nodes
@@ -191,26 +193,15 @@ func Figure3(opts FigureOptions) (metrics.Figure, error) {
 	for i, fa := range fas {
 		labels[i] = fmt.Sprintf("false alarms %g%%", fa*100)
 	}
-	series, err := gridFigure(opts, labels, Exp1Sweep, func(si, xi int) (float64, error) {
-		cfg := exp1Cell(opts, Exp1Sweep[xi])
-		cfg.NER = 0.01
-		cfg.FalseAlarmProb = fas[si]
-		res, err := RunExp1(cfg)
-		if err != nil {
-			return 0, err
-		}
-		return res.Accuracy, nil
-	})
-	if err != nil {
-		return metrics.Figure{}, err
-	}
-	return metrics.Figure{
+	return exp1Figure(opts, metrics.Figure{
 		ID:     "figure3",
 		Title:  "Experiment 1 — missed and false alarms (TIBFIT, NER 1%)",
 		XLabel: "% faulty",
 		YLabel: "accuracy %",
-		Series: series,
-	}, nil
+	}, labels, func(si int, cfg *Exp1Config) {
+		cfg.NER = 0.01
+		cfg.FalseAlarmProb = fas[si]
+	})
 }
 
 // levelFigure regenerates one of figures 4-6: location-determination
@@ -234,29 +225,18 @@ func levelFigure(id string, level node.Kind, opts FigureOptions) (metrics.Figure
 				int(level)-int(node.Level0), pair.Label(), schemeTitle(scheme)))
 		}
 	}
-	series, err := gridFigure(opts, labels, Exp2Sweep, func(si, xi int) (float64, error) {
-		v := variants[si]
-		cfg := exp2Cell(opts, Exp2Sweep[xi])
-		cfg.Level = level
-		cfg.SigmaCorrect = v.pair.Correct
-		cfg.SigmaFaulty = v.pair.Faulty
-		cfg.Scheme = v.scheme
-		res, err := RunExp2(cfg)
-		if err != nil {
-			return 0, err
-		}
-		return res.Accuracy, nil
-	})
-	if err != nil {
-		return metrics.Figure{}, err
-	}
-	return metrics.Figure{
+	return exp2Figure(opts, metrics.Figure{
 		ID:     id,
 		Title:  fmt.Sprintf("Experiment 2 — %v faulty nodes", level),
 		XLabel: "% faulty",
 		YLabel: "accuracy %",
-		Series: series,
-	}, nil
+	}, labels, func(si int, cfg *Exp2Config) {
+		v := variants[si]
+		cfg.Level = level
+		cfg.SigmaCorrect = v.pair.Correct
+		cfg.SigmaFaulty = v.pair.Faulty
+		cfg.Scheme = v.scheme
+	})
 }
 
 // Figure4 regenerates figure 4 (level-0 faulty nodes).
@@ -278,27 +258,14 @@ func Figure6(opts FigureOptions) (metrics.Figure, error) {
 // adversary, TIBFIT only.
 func Figure7(opts FigureOptions) (metrics.Figure, error) {
 	opts = opts.withDefaults()
-	modes := []bool{false, true}
-	labels := []string{"single", "concurrent"}
-	series, err := gridFigure(opts, labels, Exp2Sweep, func(si, xi int) (float64, error) {
-		cfg := exp2Cell(opts, Exp2Sweep[xi])
-		cfg.Concurrent = modes[si]
-		res, err := RunExp2(cfg)
-		if err != nil {
-			return 0, err
-		}
-		return res.Accuracy, nil
-	})
-	if err != nil {
-		return metrics.Figure{}, err
-	}
-	return metrics.Figure{
+	return exp2Figure(opts, metrics.Figure{
 		ID:     "figure7",
 		Title:  "Experiment 2 — single vs concurrent events (TIBFIT, level 0)",
 		XLabel: "% faulty",
 		YLabel: "accuracy %",
-		Series: series,
-	}, nil
+	}, []string{"single", "concurrent"}, func(si int, cfg *Exp2Config) {
+		cfg.Concurrent = si == 1
+	})
 }
 
 // decayFigure regenerates figure 8 or 9: accuracy over time while the
@@ -454,25 +421,12 @@ func FigureSchemeComparison(opts FigureOptions) (metrics.Figure, error) {
 	for i, s := range schemes {
 		labels[i] = decision.Title(s)
 	}
-	series, err := gridFigure(opts, labels, Exp2Sweep, func(si, xi int) (float64, error) {
-		cfg := exp2Cell(opts, Exp2Sweep[xi])
-		cfg.Scheme = schemes[si]
-		res, err := RunExp2(cfg)
-		if err != nil {
-			return 0, err
-		}
-		return res.Accuracy, nil
-	})
-	if err != nil {
-		return metrics.Figure{}, err
-	}
-	return metrics.Figure{
+	return exp2Figure(opts, metrics.Figure{
 		ID:     "ext-scheme-comparison",
 		Title:  "Extension — decision schemes compared (level 0, σ 1.6-4.25)",
 		XLabel: "% faulty",
 		YLabel: "accuracy %",
-		Series: series,
-	}, nil
+	}, labels, func(si int, cfg *Exp2Config) { cfg.Scheme = schemes[si] })
 }
 
 // FigureReliability is an extension beyond the paper (its §7 future work:
@@ -529,27 +483,15 @@ func FigureCollusionGuard(opts FigureOptions) (metrics.Figure, error) {
 		func(c *Exp2Config) { c.CoincidenceGuard = 0.5 },
 		func(c *Exp2Config) { c.Scheme = SchemeBaseline },
 	}
-	labels := []string{"TIBFIT", "TIBFIT+guard", "Baseline"}
-	series, err := gridFigure(opts, labels, Exp2Sweep, func(si, xi int) (float64, error) {
-		cfg := exp2Cell(opts, Exp2Sweep[xi])
-		cfg.Level = node.Level2
-		mutators[si](&cfg)
-		res, err := RunExp2(cfg)
-		if err != nil {
-			return 0, err
-		}
-		return res.Accuracy, nil
-	})
-	if err != nil {
-		return metrics.Figure{}, err
-	}
-	return metrics.Figure{
+	return exp2Figure(opts, metrics.Figure{
 		ID:     "ext-collusion-guard",
 		Title:  "Extension — coincidence guard vs level-2 collusion",
 		XLabel: "% faulty",
 		YLabel: "accuracy %",
-		Series: series,
-	}, nil
+	}, []string{"TIBFIT", "TIBFIT+guard", "Baseline"}, func(si int, cfg *Exp2Config) {
+		cfg.Level = node.Level2
+		mutators[si](cfg)
+	})
 }
 
 // FigureSweepLambda is a registry-exposed instance of the §7 parameter

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/tibfit/tibfit/internal/metrics"
 )
@@ -34,14 +33,7 @@ var figureRegistry = map[string]Generator{
 }
 
 // FigureIDs returns the sorted IDs of every reproducible figure.
-func FigureIDs() []string {
-	out := make([]string, 0, len(figureRegistry))
-	for id := range figureRegistry {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
+func FigureIDs() []string { return sortedKeys(figureRegistry) }
 
 // Generate regenerates the figure with the given ID.
 func Generate(id string, opts FigureOptions) (metrics.Figure, error) {

@@ -56,6 +56,30 @@ func sortedKeys[V any](m map[string]V) []string {
 	return out
 }
 
+// sweepPoints runs run once per value of the named parameter, set on a
+// copy of base, on the campaign pool (parallel.Workers semantics), and
+// returns the results in value order.
+func sweepPoints[C, R any](exp string, setters map[string]func(*C, float64), param string,
+	values []float64, base C, workers int, run func(C) (R, error)) ([]R, error) {
+	set, ok := setters[param]
+	if !ok {
+		return nil, fmt.Errorf("experiment: unknown %s sweep parameter %q (known: %v)",
+			exp, param, sortedKeys(setters))
+	}
+	if len(values) == 0 {
+		return nil, fmt.Errorf("experiment: sweep needs at least one value")
+	}
+	return parallel.Map(len(values), parallel.Workers(workers), func(i int) (R, error) {
+		cfg := base
+		set(&cfg, values[i])
+		res, err := run(cfg)
+		if err != nil {
+			return res, fmt.Errorf("sweep %s=%v: %w", param, values[i], err)
+		}
+		return res, nil
+	})
+}
+
 // SweepExp1 runs the binary experiment once per value of the named
 // parameter and returns accuracy and trust-separation series. Points run
 // on the campaign pool, one worker per core; use SweepExp1N to pick the
@@ -68,23 +92,7 @@ func SweepExp1(param string, values []float64, base Exp1Config) (metrics.Figure,
 // (parallel.Workers semantics: 1 = sequential on the calling goroutine,
 // 0 or negative = one worker per core).
 func SweepExp1N(param string, values []float64, base Exp1Config, workers int) (metrics.Figure, error) {
-	set, ok := exp1Setters[param]
-	if !ok {
-		return metrics.Figure{}, fmt.Errorf("experiment: unknown exp1 sweep parameter %q (known: %v)",
-			param, SweepParamsExp1())
-	}
-	if len(values) == 0 {
-		return metrics.Figure{}, fmt.Errorf("experiment: sweep needs at least one value")
-	}
-	results, err := parallel.Map(len(values), parallel.Workers(workers), func(i int) (Exp1Result, error) {
-		cfg := base
-		set(&cfg, values[i])
-		res, err := RunExp1(cfg)
-		if err != nil {
-			return Exp1Result{}, fmt.Errorf("sweep %s=%v: %w", param, values[i], err)
-		}
-		return res, nil
-	})
+	results, err := sweepPoints("exp1", exp1Setters, param, values, base, workers, RunExp1)
 	if err != nil {
 		return metrics.Figure{}, err
 	}
@@ -118,23 +126,7 @@ func SweepExp2(param string, values []float64, base Exp2Config) (metrics.Figure,
 // (parallel.Workers semantics: 1 = sequential on the calling goroutine,
 // 0 or negative = one worker per core).
 func SweepExp2N(param string, values []float64, base Exp2Config, workers int) (metrics.Figure, error) {
-	set, ok := exp2Setters[param]
-	if !ok {
-		return metrics.Figure{}, fmt.Errorf("experiment: unknown exp2 sweep parameter %q (known: %v)",
-			param, SweepParamsExp2())
-	}
-	if len(values) == 0 {
-		return metrics.Figure{}, fmt.Errorf("experiment: sweep needs at least one value")
-	}
-	results, err := parallel.Map(len(values), parallel.Workers(workers), func(i int) (Exp2Result, error) {
-		cfg := base
-		set(&cfg, values[i])
-		res, err := RunExp2(cfg)
-		if err != nil {
-			return Exp2Result{}, fmt.Errorf("sweep %s=%v: %w", param, values[i], err)
-		}
-		return res, nil
-	})
+	results, err := sweepPoints("exp2", exp2Setters, param, values, base, workers, RunExp2)
 	if err != nil {
 		return metrics.Figure{}, err
 	}
