@@ -166,6 +166,7 @@ fuzz:
 	$(GO) test -fuzz FuzzGridRange -fuzztime 5s ./internal/geo/
 	$(GO) test -fuzz FuzzGridNearest -fuzztime 5s ./internal/geo/
 	$(GO) test -fuzz FuzzSourceMatchesMathRand -fuzztime 5s ./internal/rng/
+	$(GO) test -fuzz FuzzSourceAPIMatchesMathRand -fuzztime 5s ./internal/rng/
 	$(GO) test -fuzz FuzzBatchParse -fuzztime 5s ./internal/serve/
 
 clean:

@@ -38,6 +38,30 @@ func main() {
 	}
 }
 
+// Connection limits. A client that trickles its request headers, its
+// body or its reading of a reply, or that parks an idle keep-alive
+// connection, is cut off instead of holding a goroutine and a socket for
+// as long as it likes. Every endpoint answers well inside them: the
+// largest body is capped at 1 MiB and no handler blocks waiting for data.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 60 * time.Second
+	writeTimeout      = 60 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+// newHTTPServer returns the daemon's HTTP server for h with the
+// connection limits above.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func run(args []string, out *os.File) error {
 	fs := flag.NewFlagSet("tibfit-serve", flag.ContinueOnError)
 	var (
@@ -99,7 +123,7 @@ func run(args []string, out *os.File) error {
 	if err != nil {
 		return fmt.Errorf("listening on %s: %v", *listen, err)
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 	fmt.Fprintf(out, "tibfit-serve: listening on %s (tenant %q, scheme %s, tout %v units of %v)\n",

@@ -1,10 +1,53 @@
 package main
 
 import (
+	"errors"
+	"io"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
+
+// TestHTTPServerTimeouts pins the daemon's connection limits and shows
+// the header limit bites: a client that sends a request line and then
+// nothing more is disconnected once ReadHeaderTimeout (cut to 100 ms
+// here) passes, instead of holding the connection open.
+func TestHTTPServerTimeouts(t *testing.T) {
+	srv := newHTTPServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != 10*time.Second || srv.ReadTimeout != 60*time.Second ||
+		srv.WriteTimeout != 60*time.Second || srv.IdleTimeout != 120*time.Second {
+		t.Fatalf("timeouts: header %v, read %v, write %v, idle %v",
+			srv.ReadHeaderTimeout, srv.ReadTimeout, srv.WriteTimeout, srv.IdleTimeout)
+	}
+	srv.ReadHeaderTimeout = 100 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = srv.Serve(ln) }()
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET / HTTP/1.1\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := conn.SetReadDeadline(start.Add(2 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	_, err = io.Copy(io.Discard, conn)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("connection still open %v after a stalled request line", time.Since(start))
+	}
+}
 
 func TestRunErrors(t *testing.T) {
 	tests := []struct {

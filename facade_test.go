@@ -64,7 +64,7 @@ func TestFacadeSubstrateWalkthrough(t *testing.T) {
 
 	locAgg, err := tibfit.NewLocationAggregator(
 		tibfit.LocationAggregatorConfig{Tout: 1, RError: 5, SenseRadius: 20},
-		table, kernel, map[int]tibfit.Point{0: {X: 10, Y: 10}}, nil, nil, nil)
+		table, kernel, []int{0}, []tibfit.Point{{X: 10, Y: 10}}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

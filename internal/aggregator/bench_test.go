@@ -9,14 +9,13 @@ import (
 	"github.com/tibfit/tibfit/internal/sim"
 )
 
-// benchGrid builds a g×g grid of node positions spaced 10 units apart.
-func benchGrid(g int) map[int]geo.Point {
-	pos := make(map[int]geo.Point, g*g)
-	id := 0
+// benchGrid builds a g×g grid of node positions spaced 10 units apart,
+// indexed by node ID.
+func benchGrid(g int) []geo.Point {
+	pos := make([]geo.Point, 0, g*g)
 	for y := 0; y < g; y++ {
 		for x := 0; x < g; x++ {
-			pos[id] = geo.Point{X: float64(10 + x*10), Y: float64(10 + y*10)}
-			id++
+			pos = append(pos, geo.Point{X: float64(10 + x*10), Y: float64(10 + y*10)})
 		}
 	}
 	return pos
@@ -46,7 +45,7 @@ func benchLocationRound(b *testing.B, g int, events []geo.Point) {
 	var candidates int
 	agg, err := NewLocation(
 		LocationConfig{Tout: 1, RError: 5, SenseRadius: senseRadius},
-		decision.Adapt(table), kernel, pos,
+		decision.Adapt(table), kernel, allIDs(len(pos)), pos,
 		func(o LocationOutcome) { candidates += len(o.Candidates) }, nil, nil)
 	if err != nil {
 		b.Fatal(err)

@@ -87,9 +87,9 @@ func TestBinaryCloseKillsPendingWindow(t *testing.T) {
 func TestLocationCloseKillsPendingWindow(t *testing.T) {
 	kernel := sim.New()
 	table := core.MustNewTable(testTrustParams())
-	pos := map[int]geo.Point{0: {X: 0, Y: 0}, 1: {X: 1, Y: 0}, 2: {X: 0, Y: 1}}
+	pos := []geo.Point{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 0, Y: 1}}
 	var decided int
-	l, err := NewLocation(LocationConfig{Tout: 1, RError: 5, SenseRadius: 20}, decision.Adapt(table), kernel, pos,
+	l, err := NewLocation(LocationConfig{Tout: 1, RError: 5, SenseRadius: 20}, decision.Adapt(table), kernel, allIDs(len(pos)), pos,
 		func(o LocationOutcome) { decided++ }, nil, nil)
 	if err != nil {
 		t.Fatal(err)

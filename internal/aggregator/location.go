@@ -117,12 +117,13 @@ type Location struct {
 	onDecide  func(LocationOutcome)
 	clusterer *cluster.Clusterer
 
-	// ids and pts are the CH's knowledge of node locations (§2: "the
+	// ids and pos are the CH's knowledge of node locations (§2: "the
 	// locations of the nodes at a given time are known to the CHs"),
-	// fixed for the aggregator's lifetime: ids ascending, pts[i] the
-	// position of ids[i].
+	// fixed for the aggregator's lifetime: ids the ascending members,
+	// pos[id] the position of node id. Both belong to the caller and are
+	// shared, not copied.
 	ids []int
-	pts []geo.Point
+	pos []geo.Point
 
 	// Single-window mode state (the window lifecycle itself lives in the
 	// shared pipeline). pending collects the open window's reports; spare
@@ -184,18 +185,27 @@ func resetBoolSet(m map[int]bool, sizeHint int) map[int]bool {
 	return m
 }
 
-// NewLocation returns a location aggregator over the given known node
-// positions, running the given decision scheme on the given clock (the
-// simulation kernel in batch runs; any other Clock driver online). The
-// positions are copied into the aggregator's own table: later changes to
-// pos do not reach it.
-func NewLocation(cfg LocationConfig, scheme decision.Scheme, clock Clock, pos map[int]geo.Point,
+// NewLocation returns a location aggregator for the cluster whose
+// members are the ascending node IDs members, running the given decision
+// scheme on the given clock (the simulation kernel in batch runs; any
+// other Clock driver online). pos is a position table indexed by node ID,
+// typically the whole field's. The aggregator keeps both slices without
+// copying them, so neither may change while it runs.
+func NewLocation(cfg LocationConfig, scheme decision.Scheme, clock Clock, members []int, pos []geo.Point,
 	onDecide func(LocationOutcome), feedback Feedback, tr *trace.Trace) (*Location, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if scheme == nil || clock == nil || pos == nil {
 		return nil, fmt.Errorf("aggregator: scheme, clock, and positions are required")
+	}
+	for i, id := range members {
+		if id < 0 || id >= len(pos) {
+			return nil, fmt.Errorf("aggregator: member %d has no position (table of %d)", id, len(pos))
+		}
+		if i > 0 && id <= members[i-1] {
+			return nil, fmt.Errorf("aggregator: members must be ascending and distinct, got %d after %d", id, members[i-1])
+		}
 	}
 	l := &Location{
 		pipeline: pipeline{
@@ -207,15 +217,8 @@ func NewLocation(cfg LocationConfig, scheme decision.Scheme, clock Clock, pos ma
 		cfg:       cfg,
 		onDecide:  onDecide,
 		clusterer: cfg.Clusterer,
-		ids:       make([]int, 0, len(pos)),
-		pts:       make([]geo.Point, len(pos)),
-	}
-	for id := range pos {
-		l.ids = append(l.ids, id)
-	}
-	slices.Sort(l.ids)
-	for i, id := range l.ids {
-		l.pts[i] = pos[id]
+		ids:       members,
+		pos:       pos,
 	}
 	l.expire = l.closeWindow
 	if l.clusterer == nil {
@@ -232,11 +235,10 @@ func (l *Location) Rounds() int { return l.decided }
 
 // position returns the node's known position and whether the node is known.
 func (l *Location) position(nodeID int) (geo.Point, bool) {
-	i, ok := slices.BinarySearch(l.ids, nodeID)
-	if !ok {
+	if _, ok := slices.BinarySearch(l.ids, nodeID); !ok {
 		return geo.Point{}, false
 	}
-	return l.pts[i], true
+	return l.pos[nodeID], true
 }
 
 // Deliver hands the aggregator one location report that survived the
@@ -380,12 +382,12 @@ func (l *Location) decideCandidate(ec cluster.EventCluster) Candidate {
 	// ascending subset of l.ids, so one merged pass skips them.
 	s.silent = s.silent[:0]
 	rest := s.members
-	for i, id := range l.ids {
+	for _, id := range l.ids {
 		if len(rest) > 0 && rest[0] == id {
 			rest = rest[1:]
 			continue
 		}
-		if l.pts[i].Dist(cg) <= l.cfg.SenseRadius {
+		if l.pos[id].Dist(cg) <= l.cfg.SenseRadius {
 			s.silent = append(s.silent, id)
 		}
 	}

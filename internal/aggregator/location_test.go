@@ -1,9 +1,7 @@
 package aggregator
 
 import (
-	"maps"
 	"math"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -20,7 +18,7 @@ type locHarness struct {
 	agg      *Location
 	table    *core.Table
 	kernel   *sim.Kernel
-	pos      map[int]geo.Point
+	pos      []geo.Point
 	outcomes []LocationOutcome
 	verdicts map[int][]bool
 }
@@ -30,19 +28,16 @@ func newLocHarness(t *testing.T, concurrent bool) *locHarness {
 	h := &locHarness{
 		kernel:   sim.New(),
 		table:    core.MustNewTable(testTrustParams()),
-		pos:      make(map[int]geo.Point),
 		verdicts: make(map[int][]bool),
 	}
-	id := 0
 	for y := 0; y < 3; y++ {
 		for x := 0; x < 3; x++ {
-			h.pos[id] = geo.Point{X: float64(10 + x*10), Y: float64(10 + y*10)}
-			id++
+			h.pos = append(h.pos, geo.Point{X: float64(10 + x*10), Y: float64(10 + y*10)})
 		}
 	}
 	agg, err := NewLocation(
 		LocationConfig{Tout: 1, RError: 5, SenseRadius: 20, Concurrent: concurrent},
-		decision.Adapt(h.table), h.kernel, h.pos,
+		decision.Adapt(h.table), h.kernel, allIDs(len(h.pos)), h.pos,
 		func(o LocationOutcome) { h.outcomes = append(h.outcomes, o) },
 		func(id int, correct bool) { h.verdicts[id] = append(h.verdicts[id], correct) },
 		nil)
@@ -61,25 +56,25 @@ func (h *locHarness) report(id int, loc geo.Point) {
 func TestNewLocationValidation(t *testing.T) {
 	kernel := sim.New()
 	table := core.MustNewTable(testTrustParams())
-	pos := map[int]geo.Point{}
+	ids, pos := []int{0}, []geo.Point{{}}
 	bad := []LocationConfig{
 		{Tout: 0, RError: 5, SenseRadius: 20},
 		{Tout: 1, RError: 0, SenseRadius: 20},
 		{Tout: 1, RError: 5, SenseRadius: 0},
 	}
 	for i, cfg := range bad {
-		if _, err := NewLocation(cfg, decision.Adapt(table), kernel, pos, nil, nil, nil); err == nil {
+		if _, err := NewLocation(cfg, decision.Adapt(table), kernel, ids, pos, nil, nil, nil); err == nil {
 			t.Fatalf("case %d: invalid config accepted", i)
 		}
 	}
 	good := LocationConfig{Tout: 1, RError: 5, SenseRadius: 20}
-	if _, err := NewLocation(good, nil, kernel, pos, nil, nil, nil); err == nil {
+	if _, err := NewLocation(good, nil, kernel, ids, pos, nil, nil, nil); err == nil {
 		t.Fatal("accepted nil weigher")
 	}
-	if _, err := NewLocation(good, decision.Adapt(table), nil, pos, nil, nil, nil); err == nil {
+	if _, err := NewLocation(good, decision.Adapt(table), nil, ids, pos, nil, nil, nil); err == nil {
 		t.Fatal("accepted nil kernel")
 	}
-	if _, err := NewLocation(good, decision.Adapt(table), kernel, nil, nil, nil, nil); err == nil {
+	if _, err := NewLocation(good, decision.Adapt(table), kernel, ids, nil, nil, nil, nil); err == nil {
 		t.Fatal("accepted nil positions")
 	}
 }
@@ -197,10 +192,10 @@ func TestLocationIsolatedReporterIgnored(t *testing.T) {
 	kernel := sim.New()
 	table := core.MustNewTable(core.Params{Lambda: 1, FaultRate: 0, RemovalThreshold: 0.5})
 	table.Judge(3, false)
-	pos := map[int]geo.Point{3: {X: 10, Y: 10}}
+	pos := []geo.Point{3: {X: 10, Y: 10}}
 	var outcomes []LocationOutcome
 	agg, err := NewLocation(LocationConfig{Tout: 1, RError: 5, SenseRadius: 20},
-		decision.Adapt(table), kernel, pos, func(o LocationOutcome) { outcomes = append(outcomes, o) }, nil, nil)
+		decision.Adapt(table), kernel, []int{3}, pos, func(o LocationOutcome) { outcomes = append(outcomes, o) }, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,15 +294,15 @@ func TestTrustWeightedCentroidPullsTowardTrusted(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		table.Judge(2, false) // node 2 is heavily distrusted
 	}
-	pos := map[int]geo.Point{
-		0: {X: 10, Y: 10},
-		1: {X: 20, Y: 10},
-		2: {X: 15, Y: 20},
+	pos := []geo.Point{
+		{X: 10, Y: 10},
+		{X: 20, Y: 10},
+		{X: 15, Y: 20},
 	}
 	var outcomes []LocationOutcome
 	agg, err := NewLocation(
 		LocationConfig{Tout: 1, RError: 5, SenseRadius: 25, TrustWeightedCentroid: true},
-		decision.Adapt(table), kernel, pos,
+		decision.Adapt(table), kernel, allIDs(len(pos)), pos,
 		func(o LocationOutcome) { outcomes = append(outcomes, o) }, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -385,78 +380,56 @@ func TestDeclaredCandidatesSeparated(t *testing.T) {
 }
 
 // TestLocationSilentSetMatchesScan checks the position table against a
-// brute-force scan of the caller's map on random layouts: every
-// candidate's silent side is the ascending list of known nodes within the
-// sensing radius of the candidate location that are not its reporters.
-// The caller's map is rewritten after NewLocation, so the test also checks
-// that the aggregator decides exactly as a twin built from an untouched
-// copy.
+// brute-force scan on random layouts: every candidate's silent side is the
+// ascending list of members within the sensing radius of the candidate
+// location that are not its reporters. The table also holds positions of
+// nodes outside the cluster, which must never vote. Construction rejects
+// a member list that is unsorted, duplicated or outside the table.
 func TestLocationSilentSetMatchesScan(t *testing.T) {
 	src := rng.New(22)
 	cfg := LocationConfig{Tout: 1, RError: 5, SenseRadius: 20}
 	for trial := 0; trial < 30; trial++ {
 		n := 8 + src.Intn(57)
-		pos := make(map[int]geo.Point, n)
-		for len(pos) < n {
-			pos[src.Intn(500)] = geo.Point{X: src.Uniform(0, 100), Y: src.Uniform(0, 100)}
+		pos := make([]geo.Point, 500)
+		for id := range pos {
+			pos[id] = geo.Point{X: src.Uniform(0, 100), Y: src.Uniform(0, 100)}
 		}
-		orig := maps.Clone(pos)
-		ids := make([]int, 0, n)
-		for id := range orig {
-			ids = append(ids, id)
-		}
+		ids := src.Perm(len(pos))[:n]
 		slices.Sort(ids)
-		run := func(pos map[int]geo.Point, mutate bool) []LocationOutcome {
-			kernel := sim.New()
-			var outcomes []LocationOutcome
-			agg, err := NewLocation(cfg, decision.Adapt(core.MustNewTable(testTrustParams())), kernel, pos,
-				func(o LocationOutcome) { outcomes = append(outcomes, o) }, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if mutate {
-				for id, p := range pos {
-					if id%2 == 0 {
-						delete(pos, id)
-					} else {
-						pos[id] = geo.Point{X: p.Y + 7, Y: p.X - 3}
-					}
-				}
-				for id := 500; id < 520; id++ {
-					pos[id] = geo.Point{X: 50, Y: 50}
-				}
-			}
-			events := rng.New(int64(trial))
-			for round := 0; round < 3; round++ {
-				evs := make([]geo.Point, 2+events.Intn(3))
-				for i := range evs {
-					evs[i] = geo.Point{X: events.Uniform(0, 100), Y: events.Uniform(0, 100)}
-				}
-				for _, id := range ids {
-					origin := orig[id]
-					claim := evs[events.Intn(len(evs))]
-					if origin.Dist(claim) > cfg.SenseRadius && !events.Bernoulli(0.1) {
-						continue
-					}
-					claim.X += events.Gaussian(0, 1)
-					claim.Y += events.Gaussian(0, 1)
-					agg.Deliver(id, geo.ToPolar(origin, claim))
-				}
-				kernel.RunAll()
-			}
-			return outcomes
+
+		kernel := sim.New()
+		scheme := decision.Adapt(core.MustNewTable(testTrustParams()))
+		var outcomes []LocationOutcome
+		agg, err := NewLocation(cfg, scheme, kernel, ids, pos,
+			func(o LocationOutcome) { outcomes = append(outcomes, o) }, nil, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		got := run(pos, true)
-		if want := run(maps.Clone(orig), false); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: rewriting the caller's map changed decisions:\n got %+v\nwant %+v", trial, got, want)
+		events := rng.New(int64(trial))
+		for round := 0; round < 3; round++ {
+			evs := make([]geo.Point, 2+events.Intn(3))
+			for i := range evs {
+				evs[i] = geo.Point{X: events.Uniform(0, 100), Y: events.Uniform(0, 100)}
+			}
+			for _, id := range ids {
+				origin := pos[id]
+				claim := evs[events.Intn(len(evs))]
+				if origin.Dist(claim) > cfg.SenseRadius && !events.Bernoulli(0.1) {
+					continue
+				}
+				claim.X += events.Gaussian(0, 1)
+				claim.Y += events.Gaussian(0, 1)
+				agg.Deliver(id, geo.ToPolar(origin, claim))
+			}
+			kernel.RunAll()
 		}
 		candidates := 0
-		for _, o := range got {
+		for _, o := range outcomes {
 			for _, c := range o.Candidates {
 				candidates++
 				var silent []int
 				for _, id := range ids {
-					if !slices.Contains(c.Decision.Reporters, id) && orig[id].Dist(c.Loc) <= cfg.SenseRadius {
+					if !slices.Contains(c.Decision.Reporters, id) && pos[id].Dist(c.Loc) <= cfg.SenseRadius {
 						silent = append(silent, id)
 					}
 				}
@@ -468,5 +441,26 @@ func TestLocationSilentSetMatchesScan(t *testing.T) {
 		if candidates < 3 {
 			t.Fatalf("trial %d: only %d candidates", trial, candidates)
 		}
+
+		k := 1 + src.Intn(n-1)
+		for name, members := range map[string][]int{
+			"unsorted":     append(slices.Clone(ids[:k-1]), ids[k], ids[k-1]),
+			"duplicated":   append(slices.Clone(ids[:k]), ids[k-1]),
+			"negative":     append([]int{-1}, ids...),
+			"out of range": append(slices.Clone(ids), len(pos)),
+		} {
+			if _, err := NewLocation(cfg, scheme, sim.New(), members, pos, nil, nil, nil); err == nil {
+				t.Fatalf("trial %d: %s member list %v accepted", trial, name, members)
+			}
+		}
 	}
+}
+
+// allIDs returns the member list 0 … n-1.
+func allIDs(n int) []int {
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
+	return ids
 }

@@ -258,10 +258,7 @@ func runExp2Once(cfg Exp2Config, seed int64) (Exp2Result, error) {
 	if err != nil {
 		return Exp2Result{}, err
 	}
-	posMap := make(map[int]geo.Point, cfg.Nodes)
-	for i, p := range positions {
-		posMap[i] = p
-	}
+	members := nodeIDs(cfg.Nodes)
 
 	// The compromise order is a fixed random permutation; the static
 	// experiment compromises a prefix up front, the decay experiment
@@ -344,7 +341,7 @@ func runExp2Once(cfg Exp2Config, seed int64) (Exp2Result, error) {
 		if err != nil {
 			return err
 		}
-		a, err := aggregator.NewLocation(aggCfg, s, kernel, posMap, onDecide, feedback, cfg.Trace)
+		a, err := aggregator.NewLocation(aggCfg, s, kernel, members, positions, onDecide, feedback, cfg.Trace)
 		if err != nil {
 			return err
 		}
@@ -535,4 +532,15 @@ func matchTruth(truths []*truthEvent, loc geo.Point, decideTime, rError, maxAge 
 	best.detected = true
 	best.locErr = bestDist
 	return true
+}
+
+// nodeIDs returns the IDs 0 … n-1 of a population from
+// node.NewPopulation: the member list of a cluster head that hears the
+// whole field.
+func nodeIDs(n int) []int {
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
+	return ids
 }

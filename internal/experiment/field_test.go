@@ -116,18 +116,21 @@ func TestFieldConfigValidate(t *testing.T) {
 
 // TestFieldRetainedBytes pins what a field node costs to hold once the
 // campaign is set up: the live heap a 20k-node field retains after
-// newField, measured after a GC on both sides, per node. One Config per
-// population, no empty per-cluster snapshot maps, math/rand wrappers
-// made only on a stream's first draw, and per-node state in slices
-// indexed by the dense node ID keep it near 235 bytes and 2.1 objects a
-// node; with field-wide ID maps in the election and the network it was
-// 284 bytes, and with a Config copy in every node, eager wrappers, empty
-// snapshot maps and a second index 530 bytes and 3.2 objects.
+// newField, measured after a GC on both sides, per node. Nodes and their
+// streams held in two slabs, location aggregators reading the network's
+// own position table, one Config per population, no empty per-cluster
+// snapshot maps and per-node state in slices indexed by the dense node ID
+// keep it near 190 bytes and 0.08 objects a node. With a heap object per
+// node and per stream and a position map and table per cluster it was
+// 230 bytes and 2.1 objects; with field-wide ID maps in the election and
+// the network 284 bytes; and with a Config copy in every node, eager
+// math/rand wrappers, empty snapshot maps and a second index 530 bytes
+// and 3.2 objects.
 func TestFieldRetainedBytes(t *testing.T) {
 	const (
 		nodes      = 20_000
-		maxBytes   = 260
-		maxObjects = 2.6
+		maxBytes   = 200
+		maxObjects = 0.2
 	)
 	cfg := FieldConfig{Nodes: nodes, Events: 1, Seed: 1}.withDefaults()
 	// Warm the registries and lazily built tables outside the measurement.

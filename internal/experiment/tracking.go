@@ -173,10 +173,6 @@ func runTrackingOnce(cfg TrackingConfig, seed int64) (TrackingResult, error) {
 	if err != nil {
 		return TrackingResult{}, err
 	}
-	posMap := make(map[int]geo.Point, cfg.Nodes)
-	for i, p := range positions {
-		posMap[i] = p
-	}
 	for i := 0; i < nFaulty; i++ {
 		nodes[order[i]].Compromise(cfg.Level)
 		nodes[order[i]].JoinCoalition(coalition)
@@ -208,7 +204,7 @@ func runTrackingOnce(cfg TrackingConfig, seed int64) (TrackingResult, error) {
 			RError:      cfg.RError,
 			SenseRadius: cfg.SenseRadius,
 		},
-		scheme, kernel, posMap,
+		scheme, kernel, nodeIDs(cfg.Nodes), positions,
 		func(o aggregator.LocationOutcome) {
 			for _, cand := range o.Candidates {
 				if !cand.Occurred {

@@ -250,8 +250,9 @@ type Network struct {
 	// SenseRadius, so InjectEvent touches only the nodes near the event
 	// instead of scanning the whole field. fieldPts holds positions in
 	// n.nodes slice order — the grid returns ascending indices into it,
-	// which is exactly the old full-scan iteration order. senseScratch is
-	// the reused query result buffer.
+	// which is exactly the old full-scan iteration order — and, since a
+	// node's ID is its index, every location aggregator's position table.
+	// senseScratch is the reused query result buffer.
 	fieldGrid    *geo.Grid
 	fieldPts     []geo.Point
 	senseScratch []int
@@ -580,10 +581,6 @@ func (n *Network) buildCluster(head int, members []int) (*clusterState, error) {
 			st.Restore(snap)
 		}
 	}
-	pos := make(map[int]geo.Point, len(members))
-	for _, id := range members {
-		pos[id] = n.nodes[id].Pos()
-	}
 	cs.scheme = w
 	if n.cfg.Mode == ModeBinary {
 		bin, err := aggregator.NewBinary(
@@ -617,7 +614,7 @@ func (n *Network) buildCluster(head int, members []int) (*clusterState, error) {
 			TrustWeightedCentroid: n.cfg.TrustWeightedCentroid,
 			Clusterer:             n.clusterer,
 		},
-		w, n.kernel, pos,
+		w, n.kernel, members, n.fieldPts,
 		func(o aggregator.LocationOutcome) {
 			for _, cand := range o.Candidates {
 				if cand.Occurred {

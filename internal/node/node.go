@@ -21,7 +21,6 @@ package node
 import (
 	"fmt"
 	"math"
-	"strconv"
 
 	"github.com/tibfit/tibfit/internal/core"
 	"github.com/tibfit/tibfit/internal/energy"
@@ -157,19 +156,24 @@ func (c Config) Validate() error {
 
 // Node is one sensor node: identity, position, behaviour model, battery,
 // and — for smart kinds — the trust self-estimate and hysteresis state.
+// The fields are ordered and sized to keep a Node at 80 bytes: a field
+// population holds one per sensor.
 type Node struct {
-	id   int
 	pos  geo.Point
 	kind Kind
 	cfg  *Config // shared by the population; never written
-	src  *rng.Source
+	// src is the node's own stream. It is a pointer, never a Source held
+	// by value: copying a Source that has built its math/rand wrapper
+	// would alias its generator.
+	src *rng.Source
 
 	battery   *energy.Battery
 	est       *core.Estimator
-	lying     bool
 	coalition *Coalition
 
-	timesCH int // how many times this node has served as cluster head
+	id      int32
+	timesCH int32 // how many times this node has served as cluster head
+	lying   bool
 }
 
 // New returns a node with the given identity, position, and behaviour. The
@@ -186,7 +190,10 @@ func New(id int, pos geo.Point, kind Kind, cfg *Config, src *rng.Source) (*Node,
 	if src == nil {
 		return nil, fmt.Errorf("node: nil rng source for node %d", id)
 	}
-	n := &Node{id: id, pos: pos, kind: Correct, cfg: cfg, src: src}
+	if id < math.MinInt32 || id > math.MaxInt32 {
+		return nil, fmt.Errorf("node: id %d does not fit in 32 bits", id)
+	}
+	n := &Node{id: int32(id), pos: pos, kind: Correct, cfg: cfg, src: src}
 	if kind != Correct {
 		n.Compromise(kind)
 	}
@@ -200,6 +207,10 @@ func New(id int, pos geo.Point, kind Kind, cfg *Config, src *rng.Source) (*Node,
 // caller that starts with faulty nodes compromises them afterwards;
 // Compromise draws nothing, so that is bit-identical to building them
 // faulty.
+//
+// The population is three allocations whatever its size: one slab of
+// nodes, one slab of streams the nodes point into, and the returned
+// slice of pointers.
 func NewPopulation(cfg *Config, positions []geo.Point, root *rng.Source) ([]*Node, error) {
 	if cfg == nil {
 		return nil, fmt.Errorf("node: nil population config")
@@ -210,9 +221,13 @@ func NewPopulation(cfg *Config, positions []geo.Point, root *rng.Source) ([]*Nod
 	if root == nil {
 		return nil, fmt.Errorf("node: nil population rng source")
 	}
+	slab := make([]Node, len(positions))
+	srcs := make([]rng.Source, len(positions))
 	nodes := make([]*Node, len(positions))
 	for i, p := range positions {
-		nodes[i] = &Node{id: i, pos: p, kind: Correct, cfg: cfg, src: root.Split("node-" + strconv.Itoa(i))}
+		root.SplitInto(&srcs[i], "node-", i)
+		slab[i] = Node{id: int32(i), pos: p, kind: Correct, cfg: cfg, src: &srcs[i]}
+		nodes[i] = &slab[i]
 	}
 	return nodes, nil
 }
@@ -227,7 +242,7 @@ func MustNew(id int, pos geo.Point, kind Kind, cfg *Config, src *rng.Source) *No
 }
 
 // ID returns the node's identity.
-func (n *Node) ID() int { return n.id }
+func (n *Node) ID() int { return int(n.id) }
 
 // Pos returns the node's position, which the simulator treats as ground
 // truth known to the cluster head (the paper assumes localization is
@@ -266,7 +281,7 @@ func (n *Node) AttachBattery(b *energy.Battery) { n.battery = b }
 func (n *Node) Battery() *energy.Battery { return n.battery }
 
 // TimesCH returns how many times the node has served as cluster head.
-func (n *Node) TimesCH() int { return n.timesCH }
+func (n *Node) TimesCH() int { return int(n.timesCH) }
 
 // MarkCH records one term of cluster-head service.
 func (n *Node) MarkCH() { n.timesCH++ }

@@ -65,15 +65,29 @@ func TestNewRejectsNilSource(t *testing.T) {
 	}
 }
 
+// A Node stores its ID in 32 bits; New rejects an ID that would not
+// round-trip through ID().
+func TestNewRejectsWideID(t *testing.T) {
+	if _, err := New(math.MaxInt32+1, geo.Point{}, Correct, testConfigPtr(), rng.New(1)); err == nil {
+		t.Fatal("New accepted an ID past 32 bits")
+	}
+	n := MustNew(math.MaxInt32, geo.Point{}, Correct, testConfigPtr(), rng.New(1))
+	if n.ID() != math.MaxInt32 {
+		t.Fatalf("ID() = %d, want %d", n.ID(), math.MaxInt32)
+	}
+}
+
 func TestNewRejectsNilConfig(t *testing.T) {
 	if _, err := New(1, geo.Point{}, Correct, nil, rng.New(1)); err == nil {
 		t.Fatal("New accepted nil config")
 	}
 }
 
-// TestNewPopulation pins the population rule: node i has ID i and
-// position i, starts correct, shares the one config, and draws from the
-// stream split from the root as "node-<i>" in ID order.
+// TestNewPopulation pins the population rule and its footprint: node i
+// has ID i and position i, starts correct, shares the one config, and
+// draws from the stream split from the root as "node-<i>" in ID order;
+// the population is three allocations (node slab, stream slab, pointer
+// slice) at any size, and a Node is at most 80 bytes.
 func TestNewPopulation(t *testing.T) {
 	cfg := testConfigPtr()
 	positions := []geo.Point{{X: 1}, {X: 2}, {X: 3}}
@@ -102,20 +116,26 @@ func TestNewPopulation(t *testing.T) {
 			t.Errorf("%s accepted", name)
 		}
 	}
+
+	field := make([]geo.Point, 1000)
+	root := rng.New(3)
+	if n := testing.AllocsPerRun(10, func() { _, _ = NewPopulation(cfg, field, root) }); n > 3 {
+		t.Errorf("NewPopulation of 1000 nodes allocates %v times, want at most 3", n)
+	}
+	if size := unsafe.Sizeof(Node{}); size > 80 {
+		t.Errorf("Node is %d bytes, want at most 80", size)
+	}
 }
 
-// TestNodesShareConfig pins the population's footprint: nodes built from
-// one Config point at it instead of each holding a copy, which keeps a
-// Node in the 96-byte size class.
+// TestNodesShareConfig pins that nodes built from one Config point at it
+// instead of each holding a copy (TestNewPopulation bounds the Node size
+// this keeps).
 func TestNodesShareConfig(t *testing.T) {
 	cfg := testConfig()
 	a := MustNew(1, geo.Point{}, Correct, &cfg, rng.New(1))
 	b := MustNew(2, geo.Point{}, Level1, &cfg, rng.New(2))
 	if a.cfg != &cfg || b.cfg != &cfg {
 		t.Fatal("a node copied its config")
-	}
-	if size := unsafe.Sizeof(Node{}); size > 96 {
-		t.Fatalf("Node is %d bytes, want at most 96", size)
 	}
 }
 

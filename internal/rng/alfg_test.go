@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strconv"
 	"testing"
 	"unsafe"
 )
@@ -101,6 +102,81 @@ func TestSourceAPIMatchesMathRand(t *testing.T) {
 	}
 }
 
+// SplitInto seeds its target exactly as Split over the built name would,
+// taking the same one draw from the parent, for the digit counts and
+// boundaries an ID can have.
+func TestSplitIntoMatchesSplit(t *testing.T) {
+	ids := []int{0, 1, 9, 10, 99, 100, 123456, 1<<31 - 1, math.MaxInt}
+	for _, seed := range diffSeeds()[:20] {
+		for _, prefix := range []string{"", "node-"} {
+			for _, i := range ids {
+				checkSplitInto(t, seed, prefix, i)
+			}
+		}
+	}
+}
+
+// checkSplitInto compares p.SplitInto(dst, prefix, i) with
+// q.Split(prefix + strconv.Itoa(i)) on two parents seeded alike: the
+// child streams and the parents' next draws must be equal.
+func checkSplitInto(t *testing.T, seed int64, prefix string, i int) {
+	t.Helper()
+	p, q := New(seed), New(seed)
+	var dst Source
+	dst.Int63() // a used target is reset, not continued
+	p.SplitInto(&dst, prefix, i)
+	want := q.Split(prefix + strconv.Itoa(i))
+	if dst.src.x0 != want.src.x0 || dst.src.n != 0 || dst.src.reg != nil || dst.r != nil {
+		t.Fatalf("seed %d SplitInto(%q, %d): state %+v, Split gives %+v", seed, prefix, i, dst.src, want.src)
+	}
+	for k := 0; k < 4; k++ {
+		if g, w := dst.Int63(), want.Int63(); g != w {
+			t.Fatalf("seed %d SplitInto(%q, %d) draw %d: %d, Split %d", seed, prefix, i, k, g, w)
+		}
+	}
+	if g, w := p.Int63(), q.Int63(); g != w {
+		t.Fatalf("seed %d SplitInto(%q, %d): parent draws %d after it, Split's parent %d", seed, prefix, i, g, w)
+	}
+}
+
+// FuzzSourceAPIMatchesMathRand drives the helpers that draw without the
+// math/rand wrapper (Float64, Gaussian, Uniform, Bernoulli) mixed with
+// Intn and Int63 against a math/rand.Rand on the same seed, one fuzzed
+// op byte per call, and checks SplitInto against Split for a fuzzed
+// name.
+func FuzzSourceAPIMatchesMathRand(f *testing.F) {
+	f.Add(int64(1), []byte{0, 1, 2, 3, 4, 5}, "node-", 17)
+	f.Add(int64(-7), []byte{1, 1, 1, 1, 4, 0}, "", 0)
+	f.Add(int64(math.MaxInt64), []byte{5, 3, 2}, "x", -40)
+	f.Fuzz(func(t *testing.T, seed int64, ops []byte, prefix string, i int) {
+		s, r := New(seed), rand.New(rand.NewSource(seed))
+		for k, op := range ops {
+			var g, w uint64
+			p := float64(op) / 255
+			switch op % 6 {
+			case 0:
+				g, w = math.Float64bits(s.Float64()), math.Float64bits(r.Float64())
+			case 1:
+				g, w = math.Float64bits(s.Gaussian(0, 1)), math.Float64bits(r.NormFloat64())
+			case 2:
+				g, w = math.Float64bits(s.Uniform(-p, 1)), math.Float64bits(-p+(1+p)*r.Float64())
+			case 3:
+				// Bernoulli draws nothing at p <= 0 or p >= 1.
+				want := p >= 1 || p > 0 && r.Float64() < p
+				g, w = boolBit(s.Bernoulli(p)), boolBit(want)
+			case 4:
+				g, w = uint64(s.Intn(int(op)+1)), uint64(r.Intn(int(op)+1))
+			default:
+				g, w = uint64(s.Int63()), uint64(r.Int63())
+			}
+			if g != w {
+				t.Fatalf("seed %d op %d (%d): %#x, math/rand %#x", seed, k, op, g, w)
+			}
+		}
+		checkSplitInto(t, seed, prefix, i)
+	})
+}
+
 func checkAPI(t *testing.T, s *Source, r *rand.Rand) {
 	t.Helper()
 	for round := 0; round < 40; round++ {
@@ -162,6 +238,10 @@ func TestLazySourceFootprint(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { sinkSource = Split(7, "node/123456") }); n > 1 {
 		t.Fatalf("Split allocates %v times, want 1 (the Source)", n)
 	}
+	parent, dst := New(7), new(Source)
+	if n := testing.AllocsPerRun(100, func() { parent.SplitInto(dst, "node-", 123456) }); n != 0 {
+		t.Fatalf("SplitInto allocates %v times, want 0", n)
+	}
 
 	s := New(11)
 	// AllocsPerRun makes one warm-up call plus rngTap-1 runs: exactly
@@ -178,9 +258,9 @@ func TestLazySourceFootprint(t *testing.T) {
 	}
 }
 
-// A stream that never draws holds no math/rand wrapper; the first draw
-// that needs one builds it, and from there the stream is math/rand's,
-// draw for draw.
+// Float64, Gaussian, Uniform and Bernoulli draw straight from the
+// generator and never build the math/rand wrapper; Intn builds it on its
+// first call. Either way the stream is math/rand's, draw for draw.
 func TestRandWrapperBuiltOnFirstDraw(t *testing.T) {
 	for _, seed := range diffSeeds()[:20] {
 		s, child := New(seed), Split(seed, "node/7")
@@ -190,24 +270,57 @@ func TestRandWrapperBuiltOnFirstDraw(t *testing.T) {
 		ref := rand.New(rand.NewSource(seed))
 		for k := 0; k < 1000; k++ {
 			var g, w uint64
-			switch k % 4 {
+			switch k % 5 {
 			case 0:
 				g, w = math.Float64bits(s.Float64()), math.Float64bits(ref.Float64())
 			case 1:
 				g, w = math.Float64bits(s.Gaussian(0, 1)), math.Float64bits(ref.NormFloat64())
 			case 2:
-				g, w = uint64(s.Intn(1000)), uint64(ref.Intn(1000))
+				g, w = math.Float64bits(s.Uniform(-3, 5)), math.Float64bits(-3+8*ref.Float64())
+			case 3:
+				g, w = boolBit(s.Bernoulli(0.3)), boolBit(ref.Float64() < 0.3)
 			default:
 				g, w = uint64(s.Int63()), uint64(ref.Int63())
 			}
 			if g != w {
 				t.Fatalf("seed %d draw %d: %#x, math/rand %#x", seed, k, g, w)
 			}
-			if s.r == nil {
-				t.Fatalf("seed %d: draw %d did not build the wrapper", seed, k)
-			}
+		}
+		if s.r != nil {
+			t.Fatalf("seed %d: Float64, Gaussian, Uniform, Bernoulli or Int63 built the wrapper", seed)
+		}
+		if g, w := s.Intn(1000), ref.Intn(1000); g != w {
+			t.Fatalf("seed %d Intn: %d, math/rand %d", seed, g, w)
+		}
+		if s.r == nil {
+			t.Fatalf("seed %d: Intn did not build the wrapper", seed)
+		}
+		if g, w := s.Float64(), ref.Float64(); math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("seed %d: Float64 after Intn: %v, math/rand %v", seed, g, w)
 		}
 	}
+
+	// A million Gaussian draws at each of three seeds: enough to reach
+	// the ziggurat's base strip (about one draw in 1,800) and its wedges
+	// (about one in 37), not only the fast path.
+	for _, seed := range []int64{1, 20050628, -7} {
+		s, ref := New(seed), rand.New(rand.NewSource(seed))
+		for k := 0; k < 1_000_000; k++ {
+			if g, w := s.Gaussian(0, 1), ref.NormFloat64(); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("seed %d Gaussian draw %d: %v, math/rand %v", seed, k, g, w)
+			}
+		}
+		if s.r != nil {
+			t.Fatalf("seed %d: Gaussian built the wrapper", seed)
+		}
+	}
+}
+
+func boolBit(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 var (

@@ -9,13 +9,17 @@ package rng
 import (
 	"math"
 	"math/rand"
+	"strconv"
 )
 
-// Source is a deterministic random stream. It wraps math/rand with the
-// distribution helpers the TIBFIT simulation needs (Bernoulli trials,
-// Gaussian location noise, uniform placement). Its stream is exactly
-// math/rand.NewSource(seed)'s, seeded lazily (see alfg.go). A Source is
-// not safe for concurrent use; the simulator is single-threaded by design.
+// Source is a deterministic random stream with the distribution helpers
+// the TIBFIT simulation needs (Bernoulli trials, Gaussian location noise,
+// uniform placement). Its stream is exactly math/rand.NewSource(seed)'s,
+// seeded lazily (see alfg.go), and every helper returns what the same
+// call on a math/rand.Rand over that source returns. A Source is not safe
+// for concurrent use; the simulator is single-threaded by design. Do not
+// copy a Source once it has drawn: a copy shares its register and its
+// wrapper with the original.
 type Source struct {
 	r   *rand.Rand // built on the first draw that needs it; see rnd
 	src alfg
@@ -29,8 +33,8 @@ func New(seed int64) *Source {
 }
 
 // rnd returns the math/rand wrapper over s.src, building it on first use.
-// Most per-node streams of a large field never draw, so they never pay
-// for it; rand.New draws nothing, so the stream is the same either way.
+// Only Intn, Perm, Shuffle and ExpFloat64 need it, and no node calls
+// those; rand.New draws nothing, so the stream is the same either way.
 func (s *Source) rnd() *rand.Rand {
 	if s.r == nil {
 		s.r = rand.New(&s.src)
@@ -43,16 +47,22 @@ func (s *Source) rnd() *rand.Rand {
 // names yield streams that are uncorrelated for practical purposes. The
 // child is seeded with seed XOR the FNV-1a 64-bit hash of name.
 func Split(seed int64, name string) *Source {
-	const (
-		fnvOffset64 = 14695981039346656037
-		fnvPrime64  = 1099511628211
-	)
-	h := uint64(fnvOffset64)
+	return New(seed ^ int64(fnv1a(fnvOffset64, name)))
+}
+
+// FNV-1a 64-bit parameters.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnv1a folds the bytes of name into the FNV-1a hash h.
+func fnv1a[T string | []byte](h uint64, name T) uint64 {
 	for i := 0; i < len(name); i++ {
 		h ^= uint64(name[i])
 		h *= fnvPrime64
 	}
-	return New(seed ^ int64(h))
+	return h
 }
 
 // Split derives a child stream from this source and a name. The child is
@@ -62,8 +72,31 @@ func (s *Source) Split(name string) *Source {
 	return Split(s.src.Int63(), name)
 }
 
-// Float64 returns a uniform value in [0, 1).
-func (s *Source) Float64() float64 { return s.rnd().Float64() }
+// SplitInto seeds dst in place as s.Split(prefix + strconv.Itoa(i))
+// would, taking the same one draw from s, without building the name:
+// the hash runs over prefix and then over i's decimal digits, formatted
+// into a stack buffer. It lets a population keep its streams in one slab
+// instead of one heap object each.
+func (s *Source) SplitInto(dst *Source, prefix string, i int) {
+	seed := s.src.Int63()
+	var buf [20]byte // the longest int64 in decimal, sign included
+	h := fnv1a(fnv1a(fnvOffset64, prefix), strconv.AppendInt(buf[:0], int64(i), 10))
+	*dst = Source{}
+	dst.src.Seed(seed ^ int64(h))
+}
+
+// Float64 returns a uniform value in [0, 1): Go 1 math/rand's
+// float64(Int63())/2⁶³, drawn again in the 2⁻⁵³-rare case that the
+// division rounds up to 1.
+func (s *Source) Float64() float64 {
+	for {
+		f := float64(s.src.Int63()) / (1 << 63)
+		//lint:allow floateq math/rand resamples exactly when the division rounds to 1
+		if f != 1 {
+			return f
+		}
+	}
+}
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0, matching
 // math/rand semantics.
@@ -81,7 +114,7 @@ func (s *Source) Bernoulli(p float64) bool {
 	if p >= 1 {
 		return true
 	}
-	return s.rnd().Float64() < p
+	return s.Float64() < p
 }
 
 // Uniform returns a uniform value in [lo, hi). It panics if hi < lo.
@@ -89,7 +122,7 @@ func (s *Source) Uniform(lo, hi float64) float64 {
 	if hi < lo {
 		panic("rng: Uniform called with hi < lo")
 	}
-	return lo + (hi-lo)*s.rnd().Float64()
+	return lo + (hi-lo)*s.Float64()
 }
 
 // Gaussian returns a normal sample with the given mean and standard
@@ -99,7 +132,7 @@ func (s *Source) Gaussian(mean, sigma float64) float64 {
 	if sigma <= 0 {
 		return mean
 	}
-	return mean + sigma*s.rnd().NormFloat64()
+	return mean + sigma*s.normFloat64()
 }
 
 // Rayleigh returns a Rayleigh-distributed sample with scale sigma. The
@@ -110,7 +143,7 @@ func (s *Source) Rayleigh(sigma float64) float64 {
 	if sigma <= 0 {
 		return 0
 	}
-	u := s.rnd().Float64()
+	u := s.Float64()
 	// Guard against log(0); Float64 returns values in [0,1) so 1-u is in
 	// (0,1] and only the u==0 case needs no care at all.
 	return sigma * math.Sqrt(-2*math.Log(1-u))

@@ -91,11 +91,13 @@ func NewBinaryAggregator(cfg BinaryAggregatorConfig, w Weigher, kernel *Kernel,
 	return aggregator.NewBinary(cfg, decision.Adapt(w), kernel, onDecide, fb, tr)
 }
 
-// NewLocationAggregator wires a §3.2/§3.3 aggregator to a kernel over the
-// CH-known node positions.
+// NewLocationAggregator wires a §3.2/§3.3 aggregator to a kernel for the
+// cluster whose members are the ascending node IDs members, over the
+// CH-known node positions pos, indexed by node ID. The aggregator keeps
+// both slices without copying them.
 func NewLocationAggregator(cfg LocationAggregatorConfig, w Weigher, kernel *Kernel,
-	pos map[int]Point, onDecide func(LocationOutcome), fb Feedback, tr *Trace) (*LocationAggregator, error) {
-	return aggregator.NewLocation(cfg, decision.Adapt(w), kernel, pos, onDecide, fb, tr)
+	members []int, pos []Point, onDecide func(LocationOutcome), fb Feedback, tr *Trace) (*LocationAggregator, error) {
+	return aggregator.NewLocation(cfg, decision.Adapt(w), kernel, members, pos, onDecide, fb, tr)
 }
 
 // LEACH election and base station.
