@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -492,3 +493,41 @@ var (
 	traceKindDelivered  = trace.KindReportDelivered
 	traceKindElected    = trace.KindCHElected
 )
+
+// TestExp2Pinned pins the full result of the experiment-2 paths that no
+// golden figure covers: the level-3 jittering coalition, MAC contention
+// with sender backoff, concurrent events under more CH terms, and the
+// per-node trust trace. Any change to stream order, coalition
+// behaviour, CH rotation or the trace schedule shows here.
+func TestExp2Pinned(t *testing.T) {
+	tests := []struct {
+		name   string
+		mutate func(*Exp2Config)
+		want   string
+	}{
+		{"level3", func(c *Exp2Config) { c.Level = node.Level3 },
+			"{Accuracy:0.99 FalsePositiveRate:0 MeanLocErr:0.6757291381856065 MeanFaultyTI:0.5432065549930057 MeanCorrectTI:0.9845773514599141 IsolatedFaulty:2 IsolatedCorrect:0 Windowed:[0.96 1 1 1] TrustTrace:map[]}"},
+		{"mac", func(c *Exp2Config) { c.MACCollisionWindow = 0.002 },
+			"{Accuracy:0.99 FalsePositiveRate:0 MeanLocErr:0.8768147106229737 MeanFaultyTI:0.26979980328391934 MeanCorrectTI:0.8933536351958845 IsolatedFaulty:30 IsolatedCorrect:0 Windowed:[0.98 0.98 1 1] TrustTrace:map[]}"},
+		{"concurrent terms", func(c *Exp2Config) { c.Concurrent = true; c.CHTerms = 6 },
+			"{Accuracy:0.945 FalsePositiveRate:0.005 MeanLocErr:0.8817339806867707 MeanFaultyTI:0.2705984858355731 MeanCorrectTI:0.9116898447098482 IsolatedFaulty:30 IsolatedCorrect:0 Windowed:[0.9 0.92 0.96 1] TrustTrace:map[]}"},
+		{"trust trace", func(c *Exp2Config) { c.Events = 30; c.TrackTrust = []int{25, 41} },
+			"{Accuracy:1 FalsePositiveRate:0 MeanLocErr:1.0750377953344972 MeanFaultyTI:0.6146305926836813 MeanCorrectTI:0.9504818794088424 IsolatedFaulty:4 IsolatedCorrect:0 Windowed:[1] TrustTrace:map[" +
+				"25:[1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 0.6376281516217733 0.6376281516217733 0.6376281516217733 0.4065696597405991 0.4065696597405991] " +
+				"41:[1 1 1 1 1 1 1 1 1 1 1 1 1 1 0.7985162187593771 0.7985162187593771 0.7985162187593771 0.7985162187593771 0.7985162187593771 0.7985162187593771 0.7985162187593771 0.6376281516217733 0.4065696597405991 0.4065696597405991 0.2592402606458915 0.2592402606458915 0.2592402606458915 0.2592402606458915 0.2592402606458915 0.2592402606458915]]}"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			cfg := DefaultExp2()
+			cfg.Events = 200
+			tt.mutate(&cfg)
+			res, err := RunExp2(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%+v", res); got != tt.want {
+				t.Errorf("got  %s\nwant %s", got, tt.want)
+			}
+		})
+	}
+}
