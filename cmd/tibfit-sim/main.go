@@ -47,10 +47,10 @@ func run(args []string) error {
 		events     = fs.Int("events", 0, "events per run (0 = experiment default)")
 		seed       = fs.Int64("seed", 1, "base random seed")
 		format     = fs.String("format", "table", "output format: table, csv, or plot")
-		faulty     = fs.Float64("faulty", 0.5, "fraction of nodes compromised (exp 1-2)")
+		faulty     = fs.Float64("faulty", 0.5, "fraction of nodes compromised (exp 1-2 and -track)")
 		ner        = fs.Float64("ner", 0.01, "correct-node natural error rate (exp 1)")
 		fa         = fs.Float64("fa", 0, "faulty-node false-alarm probability (exp 1)")
-		level      = fs.Int("level", 0, "adversary level 0-3 (exp 2-3; 3 = jittering coalition extension)")
+		level      = fs.Int("level", 0, "adversary level 0-3 (exp 2-3 and -track; 3 = jittering coalition extension)")
 		concurrent = fs.Bool("concurrent", false, "concurrent events (exp 2)")
 		track      = fs.Bool("track", false, "run the mobile-target tracking scenario")
 		sweep      = fs.String("sweep", "", "sweep one parameter of -exp 1 or 2 (see -sweep help)")
@@ -160,15 +160,8 @@ func run(args []string) error {
 		if *events > 0 {
 			cfg.Emissions = *events
 		}
-		switch *level {
-		case 0:
-			cfg.Level = node.Level0
-		case 1:
-			cfg.Level = node.Level1
-		case 2:
-			cfg.Level = node.Level2
-		default:
-			return fmt.Errorf("unknown adversary level %d", *level)
+		if cfg.Level, err = adversary(*level); err != nil {
+			return err
 		}
 		res, err := experiment.RunTracking(cfg)
 		if err != nil {
@@ -221,17 +214,8 @@ func run(args []string) error {
 		if *events > 0 {
 			cfg.Events = *events
 		}
-		switch *level {
-		case 0:
-			cfg.Level = node.Level0
-		case 1:
-			cfg.Level = node.Level1
-		case 2:
-			cfg.Level = node.Level2
-		case 3:
-			cfg.Level = node.Level3
-		default:
-			return fmt.Errorf("unknown adversary level %d", *level)
+		if cfg.Level, err = adversary(*level); err != nil {
+			return err
 		}
 		if *exp == 3 {
 			decay := workload.DefaultDecay()
@@ -265,6 +249,15 @@ func run(args []string) error {
 		fs.Usage()
 		return fmt.Errorf("nothing to do: pass -fig, -exp, or -list")
 	}
+}
+
+// adversary maps the -level flag to the faulty node kind.
+func adversary(level int) (node.Kind, error) {
+	kinds := []node.Kind{node.Level0, node.Level1, node.Level2, node.Level3}
+	if level < 0 || level >= len(kinds) {
+		return node.Correct, fmt.Errorf("unknown adversary level %d", level)
+	}
+	return kinds[level], nil
 }
 
 // accuracyCI renders the Wilson 95% interval for a detection proportion

@@ -15,6 +15,7 @@ func TestRunErrors(t *testing.T) {
 		{"bad format", []string{"-fig", "figure10", "-format", "xml"}},
 		{"bad level", []string{"-exp", "2", "-level", "7", "-events", "20", "-runs", "1"}},
 		{"bad track level", []string{"-track", "-level", "7"}},
+		{"track faulty above one", []string{"-track", "-faulty", "1.5", "-events", "20", "-runs", "1"}},
 		{"sweep without values", []string{"-sweep", "lambda", "-exp", "2"}},
 		{"sweep bad values", []string{"-sweep", "lambda", "-values", "a,b", "-exp", "2"}},
 		{"sweep bad exp", []string{"-sweep", "lambda", "-values", "0.1", "-exp", "3"}},
@@ -43,6 +44,7 @@ func TestRunHappyPaths(t *testing.T) {
 		{"exp2 level2 baseline", []string{"-exp", "2", "-level", "2", "-scheme", "baseline", "-events", "20", "-runs", "1"}},
 		{"exp3", []string{"-exp", "3", "-events", "100", "-runs", "1"}},
 		{"track", []string{"-track", "-events", "40", "-runs", "1"}},
+		{"track level3", []string{"-track", "-level", "3", "-events", "40", "-runs", "1"}},
 		{"sweep help", []string{"-sweep", "help"}},
 		{"sweep exp1", []string{"-sweep", "lambda", "-values", "0.1,0.25", "-exp", "1", "-events", "20", "-runs", "1"}},
 		{"sweep exp2 csv", []string{"-sweep", "removal", "-values", "0,0.3", "-exp", "2", "-events", "30", "-runs", "1", "-format", "csv"}},

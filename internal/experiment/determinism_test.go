@@ -64,11 +64,11 @@ func TestSweepRerunIsByteIdentical(t *testing.T) {
 	base := quickExp1(t)
 	base.Runs = 3
 	base.Seed = 23
-	first, err := SweepExp1("lambda", []float64{0.01, 0.1}, base)
+	first, err := SweepExp1N("lambda", []float64{0.01, 0.1}, base, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := SweepExp1("lambda", []float64{0.01, 0.1}, base)
+	second, err := SweepExp1N("lambda", []float64{0.01, 0.1}, base, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -128,6 +128,23 @@ func (c Exp1Config) Validate() error {
 	return nil
 }
 
+// withFigure applies a figure's replicate count, seed, event count,
+// scheme and λ. Table 1 ties f_r to the NER, so the options' f_r does
+// not apply.
+func (c *Exp1Config) withFigure(opts FigureOptions) {
+	c.Runs = opts.Runs
+	c.Seed = opts.Seed
+	if opts.Events > 0 {
+		c.Events = opts.Events
+	}
+	if opts.Scheme != "" {
+		c.Scheme = opts.Scheme
+	}
+	if opts.Lambda > 0 {
+		c.Lambda = opts.Lambda
+	}
+}
+
 // Exp1Result reports a binary-event run.
 type Exp1Result struct {
 	// Accuracy is the fraction of generated events the CH declared, mean

@@ -34,7 +34,10 @@ var Table2SigmaPairs = []SigmaPair{
 }
 
 // FigureOptions tunes figure regeneration. The zero value uses the paper's
-// parameters with a modest number of replicates.
+// parameters with a modest number of replicates. Each config type applies
+// the options in its withFigure method. Scheme, Lambda and FaultRate
+// reach experiment cells only: the grid-walk figures (ext-resilience,
+// ext-byzantine-resilience) keep network.DefaultConfig's trust.
 type FigureOptions struct {
 	// Runs is the number of independent replicates per point (default 3).
 	Runs int
@@ -51,16 +54,21 @@ type FigureOptions struct {
 	// index order, so every setting produces byte-identical figures —
 	// the knob trades wall-clock time only.
 	Parallel int
-	// Scheme overrides the default decision scheme for figures that do not
-	// themselves compare schemes (figures 2, 3, 7 and the sweeps). Empty
-	// keeps each figure's default. Figures whose point is a scheme
-	// comparison (4-6, 8, 9) pin their schemes regardless.
+	// Scheme overrides the decision scheme of the figures that do not
+	// themselves compare schemes: 2, 3, 7 and ext-sweep-lambda. Empty
+	// keeps TIBFIT. The scheme-comparison figures (4-6, 8, 9,
+	// ext-collusion-guard, ext-scheme-comparison and ext-reliability,
+	// whose model is TIBFIT's) pin their schemes regardless.
 	Scheme string
 	// Lambda, when positive, overrides the trust decay constant λ of every
-	// simulated cell. Zero keeps each experiment's default.
+	// experiment-1, -2 and -3 cell (figures 2-9, ext-reliability,
+	// ext-collusion-guard, ext-scheme-comparison; ext-sweep-lambda sweeps
+	// it). Zero keeps each experiment's default.
 	Lambda float64
 	// FaultRate, when positive, overrides the tolerated error rate f_r of
-	// the location-experiment cells. Zero keeps the experiment default.
+	// every experiment-2 and -3 cell (figures 4-9 and the ext- figures
+	// built on them). Zero keeps the experiment default. Experiment 1 has
+	// none: Table 1 sets f_r to the NER.
 	FaultRate float64
 }
 
@@ -109,53 +117,29 @@ func gridFigure(opts FigureOptions, fig metrics.Figure, labels []string, xs []fl
 }
 
 // exp1Figure is gridFigure over Exp1Sweep with every cell an experiment-1
-// run at the cell's compromised fraction: the defaults with the options'
-// runs, seed, events, scheme and λ, set up by vary for the cell's series.
+// run at the cell's compromised fraction: the defaults with the figure's
+// options, set up by vary for the cell's series.
 func exp1Figure(opts FigureOptions, fig metrics.Figure, labels []string,
 	vary func(series int, cfg *Exp1Config)) (metrics.Figure, error) {
 	return gridFigure(opts, fig, labels, Exp1Sweep, func(si, xi int) (float64, error) {
 		cfg := DefaultExp1()
 		cfg.FaultyFraction = Exp1Sweep[xi]
-		cfg.Runs = opts.Runs
-		cfg.Seed = opts.Seed
-		if opts.Events > 0 {
-			cfg.Events = opts.Events
-		}
-		if opts.Scheme != "" {
-			cfg.Scheme = opts.Scheme
-		}
-		if opts.Lambda > 0 {
-			cfg.Lambda = opts.Lambda
-		}
+		cfg.withFigure(opts)
 		vary(si, &cfg)
 		res, err := RunExp1(cfg)
 		return res.Accuracy, err
 	})
 }
 
-// exp2Figure is exp1Figure for experiment 2, over Exp2Sweep, with the
-// options' f_r applied too. Scheme-comparison figures overwrite
-// cfg.Scheme in vary, so the opts.Scheme override only reaches figures
-// with a single free scheme.
+// exp2Figure is exp1Figure for experiment 2, over Exp2Sweep.
+// Scheme-comparison figures overwrite cfg.Scheme in vary, so the
+// opts.Scheme override only reaches figures with a single free scheme.
 func exp2Figure(opts FigureOptions, fig metrics.Figure, labels []string,
 	vary func(series int, cfg *Exp2Config)) (metrics.Figure, error) {
 	return gridFigure(opts, fig, labels, Exp2Sweep, func(si, xi int) (float64, error) {
 		cfg := DefaultExp2()
 		cfg.FaultyFraction = Exp2Sweep[xi]
-		cfg.Runs = opts.Runs
-		cfg.Seed = opts.Seed
-		if opts.Events > 0 {
-			cfg.Events = opts.Events
-		}
-		if opts.Scheme != "" {
-			cfg.Scheme = opts.Scheme
-		}
-		if opts.Lambda > 0 {
-			cfg.Lambda = opts.Lambda
-		}
-		if opts.FaultRate > 0 {
-			cfg.FaultRate = opts.FaultRate
-		}
+		cfg.withFigure(opts)
 		vary(si, &cfg)
 		res, err := RunExp2(cfg)
 		return res.Accuracy, err
@@ -275,11 +259,6 @@ func Figure7(opts FigureOptions) (metrics.Figure, error) {
 func decayFigure(id string, sigmaFaulty float64, opts FigureOptions) (metrics.Figure, error) {
 	opts = opts.withDefaults()
 	decay := workload.DefaultDecay()
-	events := opts.Events
-	if events == 0 {
-		// Enough events to walk the schedule from 5% to 75%.
-		events = decay.EventsPerStep * 15
-	}
 	type variant struct {
 		sigmaCorrect float64
 		scheme       string
@@ -293,13 +272,12 @@ func decayFigure(id string, sigmaFaulty float64, opts FigureOptions) (metrics.Fi
 	windowed, err := runCells(opts, len(variants), func(i int) ([]float64, error) {
 		v := variants[i]
 		cfg := DefaultExp2()
+		cfg.Events = decay.EventsPerStep * 15 // walks the schedule from 5% to 75%
+		cfg.withFigure(opts)
 		cfg.SigmaCorrect = v.sigmaCorrect
 		cfg.SigmaFaulty = sigmaFaulty
 		cfg.Scheme = v.scheme
 		cfg.Decay = &decay
-		cfg.Events = events
-		cfg.Runs = opts.Runs
-		cfg.Seed = opts.Seed
 		res, err := RunExp2(cfg)
 		if err != nil {
 			return nil, err
@@ -437,13 +415,11 @@ func FigureSchemeComparison(opts FigureOptions) (metrics.Figure, error) {
 func FigureReliability(opts FigureOptions) (metrics.Figure, error) {
 	opts = opts.withDefaults()
 	cfg := DefaultExp1()
+	cfg.withFigure(opts)
+	cfg.Scheme = SchemeTIBFIT // the model is TIBFIT's
 	cfg.NER = 0.01
 	cfg.FaultyFraction = 0.7
-	cfg.Runs = opts.Runs * 3 // windowed curves need extra smoothing
-	cfg.Seed = opts.Seed
-	if opts.Events > 0 {
-		cfg.Events = opts.Events
-	}
+	cfg.Runs *= 3 // windowed curves need extra smoothing
 	cfg.WindowEvents = 10
 	res, err := RunExp1(cfg)
 	if err != nil {
@@ -479,8 +455,8 @@ func FigureReliability(opts FigureOptions) (metrics.Figure, error) {
 func FigureCollusionGuard(opts FigureOptions) (metrics.Figure, error) {
 	opts = opts.withDefaults()
 	mutators := []func(*Exp2Config){
-		func(*Exp2Config) {},
-		func(c *Exp2Config) { c.CoincidenceGuard = 0.5 },
+		func(c *Exp2Config) { c.Scheme = SchemeTIBFIT },
+		func(c *Exp2Config) { c.Scheme, c.CoincidenceGuard = SchemeTIBFIT, 0.5 },
 		func(c *Exp2Config) { c.Scheme = SchemeBaseline },
 	}
 	return exp2Figure(opts, metrics.Figure{
@@ -502,11 +478,7 @@ func FigureSweepLambda(opts FigureOptions) (metrics.Figure, error) {
 	opts = opts.withDefaults()
 	base := DefaultExp2()
 	base.FaultyFraction = 0.5
-	base.Runs = opts.Runs
-	base.Seed = opts.Seed
-	if opts.Events > 0 {
-		base.Events = opts.Events
-	}
+	base.withFigure(opts)
 	fig, err := SweepExp2N("lambda", []float64{0.05, 0.1, 0.25, 0.5, 1.0}, base, opts.workers())
 	if err != nil {
 		return metrics.Figure{}, err

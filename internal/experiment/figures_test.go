@@ -151,3 +151,35 @@ func TestLevelFigureLegendFormat(t *testing.T) {
 		t.Fatalf("legend = %q", fig.Series[0].Label)
 	}
 }
+
+// TestFigureOptionOverrides checks that λ, f_r and the scheme reach every
+// experiment cell they name, and that a scheme-comparison figure keeps
+// its schemes when one is forced.
+func TestFigureOptionOverrides(t *testing.T) {
+	tests := []struct {
+		id     string
+		set    func(*FigureOptions)
+		differ bool
+	}{
+		{"figure8", func(o *FigureOptions) { o.Lambda = 1 }, true},
+		{"ext-reliability", func(o *FigureOptions) { o.Lambda = 1 }, true},
+		{"ext-sweep-lambda", func(o *FigureOptions) { o.FaultRate = 0.3 }, true},
+		{"ext-sweep-lambda", func(o *FigureOptions) { o.Scheme = SchemeBaseline }, true},
+		{"ext-collusion-guard", func(o *FigureOptions) { o.Scheme = SchemeBaseline }, false},
+	}
+	for _, tt := range tests {
+		opts := FigureOptions{Runs: 1, Events: 200, Seed: 1}
+		plain, err := Generate(tt.id, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tt.set(&opts)
+		set, err := Generate(tt.id, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if differ := plain.CSV() != set.CSV(); differ != tt.differ {
+			t.Errorf("%s with %+v: output changed = %t, want %t", tt.id, opts, differ, tt.differ)
+		}
+	}
+}

@@ -41,10 +41,10 @@ var exp2Setters = map[string]func(*Exp2Config, float64){
 	"tout":         func(c *Exp2Config, v float64) { c.Tout = v },
 }
 
-// SweepParamsExp1 lists the parameter names SweepExp1 accepts, sorted.
+// SweepParamsExp1 lists the parameter names SweepExp1N accepts, sorted.
 func SweepParamsExp1() []string { return sortedKeys(exp1Setters) }
 
-// SweepParamsExp2 lists the parameter names SweepExp2 accepts, sorted.
+// SweepParamsExp2 lists the parameter names SweepExp2N accepts, sorted.
 func SweepParamsExp2() []string { return sortedKeys(exp2Setters) }
 
 func sortedKeys[V any](m map[string]V) []string {
@@ -80,17 +80,11 @@ func sweepPoints[C, R any](exp string, setters map[string]func(*C, float64), par
 	})
 }
 
-// SweepExp1 runs the binary experiment once per value of the named
+// SweepExp1N runs the binary experiment once per value of the named
 // parameter and returns accuracy and trust-separation series. Points run
-// on the campaign pool, one worker per core; use SweepExp1N to pick the
-// width explicitly.
-func SweepExp1(param string, values []float64, base Exp1Config) (metrics.Figure, error) {
-	return SweepExp1N(param, values, base, 0)
-}
-
-// SweepExp1N is SweepExp1 with an explicit campaign worker count
-// (parallel.Workers semantics: 1 = sequential on the calling goroutine,
-// 0 or negative = one worker per core).
+// on the campaign pool with the given worker count (parallel.Workers
+// semantics: 1 = sequential on the calling goroutine, 0 or negative =
+// one worker per core).
 func SweepExp1N(param string, values []float64, base Exp1Config, workers int) (metrics.Figure, error) {
 	results, err := sweepPoints("exp1", exp1Setters, param, values, base, workers, RunExp1)
 	if err != nil {
@@ -114,17 +108,9 @@ func SweepExp1N(param string, values []float64, base Exp1Config, workers int) (m
 	return fig, nil
 }
 
-// SweepExp2 runs the location experiment once per value of the named
-// parameter and returns accuracy, false-positive, and isolation series.
-// Points run on the campaign pool, one worker per core; use SweepExp2N
-// to pick the width explicitly.
-func SweepExp2(param string, values []float64, base Exp2Config) (metrics.Figure, error) {
-	return SweepExp2N(param, values, base, 0)
-}
-
-// SweepExp2N is SweepExp2 with an explicit campaign worker count
-// (parallel.Workers semantics: 1 = sequential on the calling goroutine,
-// 0 or negative = one worker per core).
+// SweepExp2N runs the location experiment once per value of the named
+// parameter and returns accuracy, false-positive, and isolation series,
+// on the campaign pool as SweepExp1N does.
 func SweepExp2N(param string, values []float64, base Exp2Config, workers int) (metrics.Figure, error) {
 	results, err := sweepPoints("exp2", exp2Setters, param, values, base, workers, RunExp2)
 	if err != nil {

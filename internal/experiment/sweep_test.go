@@ -8,7 +8,7 @@ func TestSweepExp1Lambda(t *testing.T) {
 	base := DefaultExp1()
 	base.Events = 60
 	base.FaultyFraction = 0.6
-	fig, err := SweepExp1("lambda", []float64{0.05, 0.1, 0.25}, base)
+	fig, err := SweepExp1N("lambda", []float64{0.05, 0.1, 0.25}, base, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,10 +28,10 @@ func TestSweepExp1Lambda(t *testing.T) {
 }
 
 func TestSweepExp1UnknownParam(t *testing.T) {
-	if _, err := SweepExp1("bogus", []float64{1}, DefaultExp1()); err == nil {
+	if _, err := SweepExp1N("bogus", []float64{1}, DefaultExp1(), 0); err == nil {
 		t.Fatal("unknown parameter accepted")
 	}
-	if _, err := SweepExp1("lambda", nil, DefaultExp1()); err == nil {
+	if _, err := SweepExp1N("lambda", nil, DefaultExp1(), 0); err == nil {
 		t.Fatal("empty values accepted")
 	}
 }
@@ -40,7 +40,7 @@ func TestSweepExp2Removal(t *testing.T) {
 	base := DefaultExp2()
 	base.Events = 120
 	base.FaultyFraction = 0.4
-	fig, err := SweepExp2("removal", []float64{0, 0.3}, base)
+	fig, err := SweepExp2N("removal", []float64{0, 0.3}, base, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestSweepExp2Removal(t *testing.T) {
 func TestSweepExp2PropagatesRunErrors(t *testing.T) {
 	base := DefaultExp2()
 	base.Events = 0 // invalid, surfaces from RunExp2
-	if _, err := SweepExp2("lambda", []float64{0.25}, base); err == nil {
+	if _, err := SweepExp2N("lambda", []float64{0.25}, base, 0); err == nil {
 		t.Fatal("run error swallowed")
 	}
 }

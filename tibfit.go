@@ -143,6 +143,9 @@ type (
 	Exp1Config = experiment.Exp1Config
 	// Exp1Result reports a binary-event run.
 	Exp1Result = experiment.Exp1Result
+	// LocationGrid holds the Table 2 parameters Exp2Config and
+	// TrackingConfig share: grid, trust, adversary and scheme.
+	LocationGrid = experiment.LocationGrid
 	// Exp2Config configures the location experiments (Table 2) and, with
 	// a decay schedule, experiment 3.
 	Exp2Config = experiment.Exp2Config
@@ -205,30 +208,16 @@ func RunTracking(cfg TrackingConfig) (TrackingResult, error) {
 	return experiment.RunTracking(cfg)
 }
 
-// SweepExp1 varies one binary-experiment parameter over a value list.
-// Sweep points fan out on the deterministic campaign pool (one worker
-// per core); SweepExp1N picks the worker count explicitly.
-func SweepExp1(param string, values []float64, base Exp1Config) (Figure, error) {
-	return experiment.SweepExp1(param, values, base)
-}
-
-// SweepExp1N is SweepExp1 with an explicit campaign worker count
-// (1 = sequential, 0 = one per core). Results are byte-identical at any
-// worker count.
+// SweepExp1N varies one binary-experiment parameter over a value list.
+// Sweep points fan out on the deterministic campaign pool with the given
+// worker count (1 = sequential, 0 = one per core). Results are
+// byte-identical at any worker count.
 func SweepExp1N(param string, values []float64, base Exp1Config, workers int) (Figure, error) {
 	return experiment.SweepExp1N(param, values, base, workers)
 }
 
-// SweepExp2 varies one location-experiment parameter over a value list.
-// Sweep points fan out on the deterministic campaign pool (one worker
-// per core); SweepExp2N picks the worker count explicitly.
-func SweepExp2(param string, values []float64, base Exp2Config) (Figure, error) {
-	return experiment.SweepExp2(param, values, base)
-}
-
-// SweepExp2N is SweepExp2 with an explicit campaign worker count
-// (1 = sequential, 0 = one per core). Results are byte-identical at any
-// worker count.
+// SweepExp2N varies one location-experiment parameter over a value
+// list, on the campaign pool as SweepExp1N does.
 func SweepExp2N(param string, values []float64, base Exp2Config, workers int) (Figure, error) {
 	return experiment.SweepExp2N(param, values, base, workers)
 }
