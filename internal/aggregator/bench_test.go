@@ -38,6 +38,36 @@ func BenchmarkLocationRound(b *testing.B) {
 }
 
 func benchLocationRound(b *testing.B, g int, events []geo.Point) {
+	round, check := newLocationRound(b, g, events)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+	check(b.N)
+}
+
+// TestLocationRoundAllocs holds the steady-state location round to its
+// allocation budget: with the clusterer's storage and the vote's scratch
+// reused, a round at candidates=4 allocates its outcome's candidate
+// array and one array per vote for the decision's two sides.
+func TestLocationRoundAllocs(t *testing.T) {
+	round, check := newLocationRound(t, 6, []geo.Point{{X: 20, Y: 20}, {X: 50, Y: 20}, {X: 20, Y: 50}, {X: 50, Y: 50}})
+	for i := 0; i < 4; i++ {
+		round() // grow every scratch buffer
+	}
+	const budget = 8
+	if got := testing.AllocsPerRun(50, round); got > budget {
+		t.Fatalf("a location round at candidates=4 allocates %.1f objects, want at most %d", got, budget)
+	}
+	check(4 + 51)
+}
+
+// newLocationRound builds an aggregator over a g×g grid whose nodes each
+// report the nearest of events, and returns one full round — deliver
+// every report, close the window, cluster, and vote — and a check that n
+// rounds decided one candidate per event.
+func newLocationRound(tb testing.TB, g int, events []geo.Point) (round func(), check func(n int)) {
 	const senseRadius = 25
 	kernel := sim.New()
 	table := core.MustNewTable(core.Params{Lambda: 0.25, FaultRate: 0.1})
@@ -48,7 +78,7 @@ func benchLocationRound(b *testing.B, g int, events []geo.Point) {
 		decision.Adapt(table), kernel, allIDs(len(pos)), pos,
 		func(o LocationOutcome) { candidates += len(o.Candidates) }, nil, nil)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	offs := make(map[int]geo.Polar, len(pos))
 	for id, origin := range pos {
@@ -62,9 +92,7 @@ func benchLocationRound(b *testing.B, g int, events []geo.Point) {
 			offs[id] = geo.ToPolar(origin, nearest)
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	round = func() {
 		for id := 0; id < len(pos); id++ {
 			if off, ok := offs[id]; ok {
 				agg.Deliver(id, off)
@@ -72,10 +100,13 @@ func benchLocationRound(b *testing.B, g int, events []geo.Point) {
 		}
 		kernel.RunAll()
 	}
-	if agg.Rounds() != b.N || candidates != len(events)*b.N {
-		b.Fatalf("rounds = %d, candidates = %d, want %d and %d",
-			agg.Rounds(), candidates, b.N, len(events)*b.N)
+	check = func(n int) {
+		if agg.Rounds() != n || candidates != len(events)*n {
+			tb.Fatalf("rounds = %d, candidates = %d, want %d and %d",
+				agg.Rounds(), candidates, n, len(events)*n)
+		}
 	}
+	return round, check
 }
 
 // BenchmarkBinaryWindow measures one binary aggregation window over a

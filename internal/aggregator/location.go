@@ -93,6 +93,8 @@ func (c Candidate) String() string {
 
 // LocationOutcome describes one completed aggregation round: every
 // candidate event cluster the reports formed and the verdicts rendered.
+// Each round's Candidates and their RangeViolators are new arrays (one
+// of each per round), so a consumer may keep an outcome.
 type LocationOutcome struct {
 	TriggerTime sim.Time
 	DecideTime  sim.Time
@@ -160,6 +162,7 @@ type locScratch struct {
 	pts       []geo.Point // trustWeightedCenter
 	weights   []float64
 	ctis      []float64 // decideGroup sort keys
+	order     byCTI
 }
 
 // byCTI sorts clusters by descending cumulative trust, carrying the
@@ -179,6 +182,7 @@ func (s byCTI) Swap(i, j int) {
 // resetBoolSet returns m emptied for reuse, allocating only on first use.
 func resetBoolSet(m map[int]bool, sizeHint int) map[int]bool {
 	if m == nil {
+		//lint:allow hotalloc built on the first round, then cleared and reused
 		return make(map[int]bool, sizeHint)
 	}
 	clear(m)
@@ -245,6 +249,8 @@ func (l *Location) position(nodeID int) (geo.Point, bool) {
 // channel: the sender and the polar offset it transmitted. The aggregator
 // resolves the offset against the sender's known position (§3.2). Reports
 // from unknown or isolated senders are discarded.
+//
+//hot:path
 func (l *Location) Deliver(nodeID int, off geo.Polar) {
 	if l.closed {
 		return
@@ -255,6 +261,7 @@ func (l *Location) Deliver(nodeID int, off geo.Polar) {
 	}
 	rep := cluster.Report{Node: nodeID, Loc: geo.FromPolar(origin, off)}
 	if l.tr.Verbose() {
+		//lint:allow hotalloc formatting only when the trace keeps or streams records
 		l.tr.Emit(float64(l.clock.Now()), trace.KindReportDelivered, nodeID, "loc=%v", rep.Loc)
 	} else {
 		l.tr.Hit(trace.KindReportDelivered)
@@ -283,6 +290,8 @@ func (l *Location) deliverConcurrent(rep cluster.Report) {
 }
 
 // closeWindow ends a single-mode window and decides its reports.
+//
+//hot:path
 func (l *Location) closeWindow() {
 	reports := l.pending
 	l.pending, l.spare = l.spare[:0], reports
@@ -312,6 +321,12 @@ func (l *Location) closeWindow() {
 // correct for its own cluster and faulty as a silent neighbor of a winning
 // fabricated cluster) — each candidate is an independent event decision,
 // exactly as §3.3 treats concurrent events.
+//
+// The clusters are the clusterer's storage and the vote's scratch is the
+// aggregator's; neither outlives the round. Only the outcome escapes, so
+// it gets arrays of its own.
+//
+//hot:path
 func (l *Location) decideGroup(reports []cluster.Report, trigger sim.Time) {
 	if l.closed || len(reports) == 0 {
 		return
@@ -325,25 +340,40 @@ func (l *Location) decideGroup(reports []cluster.Report, trigger sim.Time) {
 	// sorting); summing in the clusters' node-sorted report order matches
 	// core.CTI over Nodes(), which the comparator used to recompute per
 	// comparison.
-	l.scr.ctis = l.scr.ctis[:0]
+	s := &l.scr
+	s.ctis = s.ctis[:0]
 	for _, ec := range clusters {
 		var cti float64
 		for _, r := range ec.Reports {
 			cti += l.scheme.Weight(r.Node)
 		}
-		l.scr.ctis = append(l.scr.ctis, cti)
+		s.ctis = append(s.ctis, cti)
 	}
-	sort.Stable(byCTI{clusters, l.scr.ctis})
+	s.order = byCTI{clusters, s.ctis}
+	sort.Stable(&s.order)
 
 	out := LocationOutcome{TriggerTime: trigger, DecideTime: l.clock.Now()}
+	out.Candidates = make([]Candidate, len(clusters))
+	s.violators = s.violators[:0]
 	verbose := l.tr.Verbose()
-	for _, ec := range clusters {
-		cand := l.decideCandidate(ec)
-		out.Candidates = append(out.Candidates, cand)
+	for i, ec := range clusters {
+		out.Candidates[i] = l.decideCandidate(ec)
 		if verbose {
-			l.tr.Emit(float64(l.clock.Now()), trace.KindDecision, -1, "%v", cand)
+			//lint:allow hotalloc formatting only when the trace keeps or streams records
+			l.tr.Emit(float64(l.clock.Now()), trace.KindDecision, -1, "%v", out.Candidates[i])
 		} else {
 			l.tr.Hit(trace.KindDecision)
+		}
+	}
+	// The violator lists alias the round's scratch; move them all into
+	// one array of the outcome's own.
+	if len(s.violators) > 0 {
+		own := slices.Clone(s.violators)
+		for i := range out.Candidates {
+			c := &out.Candidates[i]
+			if n := len(c.RangeViolators); n > 0 {
+				c.RangeViolators, own = own[:n:n], own[n:]
+			}
 		}
 	}
 	l.decided++
@@ -354,7 +384,11 @@ func (l *Location) decideGroup(reports []cluster.Report, trigger sim.Time) {
 
 // decideCandidate votes on a single event cluster. ec.Reports are in
 // ascending node order (cluster.Clusterer builds them so), which keeps the
-// member and violator lists ascending too.
+// member and violator lists ascending too. The candidate's violators are
+// appended to l.scr.violators, and its RangeViolators alias them (nil
+// when there are none) until decideGroup copies them out.
+//
+//hot:path
 func (l *Location) decideCandidate(ec cluster.EventCluster) Candidate {
 	cg := ec.Center
 	// A reporter whose own position is beyond r_s + r_error of the
@@ -364,7 +398,8 @@ func (l *Location) decideCandidate(ec cluster.EventCluster) Candidate {
 	// borderline-but-honest neighbors out of the violator set.
 	maxSense := l.cfg.SenseRadius + l.cfg.RError
 	s := &l.scr
-	s.members, s.violators = s.members[:0], s.violators[:0]
+	s.members = s.members[:0]
+	first := len(s.violators)
 	for _, rep := range ec.Reports {
 		p, ok := l.position(rep.Node)
 		if !ok {
@@ -392,8 +427,8 @@ func (l *Location) decideCandidate(ec cluster.EventCluster) Candidate {
 		}
 	}
 
-	// Arbitrate copies both sides (filterActive), so the scratch slices
-	// stay ours to reuse.
+	// Arbitrate copies both sides, so the scratch slices stay ours to
+	// reuse.
 	dec := l.scheme.Arbitrate(s.members, s.silent)
 	if l.cfg.CoincidenceGuard > 0 {
 		// Re-weigh the reporting side with coincident cliques collapsed
@@ -408,12 +443,13 @@ func (l *Location) decideCandidate(ec cluster.EventCluster) Candidate {
 		}
 	}
 	l.settle(dec)
-	for _, id := range s.violators {
+	var violators []int
+	if len(s.violators) > first {
+		violators = s.violators[first:]
+	}
+	for _, id := range violators {
 		l.judge(id, false)
 	}
-	// The violator list escapes into the Candidate; copy it exactly sized
-	// (nil when empty, like the pre-scratch code).
-	violators := append([]int(nil), s.violators...)
 	return Candidate{Loc: loc, Occurred: dec.Occurred, Decision: dec, RangeViolators: violators}
 }
 
@@ -457,6 +493,7 @@ func (l *Location) guardedCTI(ec cluster.EventCluster, reporters []int) float64 
 		}
 	}
 	if s.groupMax == nil {
+		//lint:allow hotalloc built on the first guarded round, then cleared and reused
 		s.groupMax = make(map[int]float64)
 	} else {
 		clear(s.groupMax)

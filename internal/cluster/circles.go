@@ -39,6 +39,14 @@ type CircleSet struct {
 	rError float64
 	tout   sim.Duration
 	open   []*Circle
+
+	// free holds collected circles for Add to reopen, and root, ready
+	// and groups are Collect's working storage, so a set in steady state
+	// allocates nothing.
+	free   []*Circle
+	root   []int
+	ready  []bool
+	groups [][]Report
 }
 
 // NewCircleSet returns an empty circle tracker.
@@ -54,58 +62,86 @@ func (s *CircleSet) Open() int { return len(s.open) }
 
 // Add routes a report arriving at time now into an existing circle or a
 // new one. It returns the circle the report joined and whether the circle
-// is new (its deadline timer still needs scheduling).
+// is new (its deadline timer still needs scheduling). The circle is the
+// set's storage: once Collect has taken it, a later Add reopens it.
+//
+//hot:path
 func (s *CircleSet) Add(r Report, now sim.Time) (c *Circle, isNew bool) {
-	for _, c := range s.open {
+	for i, c := range s.open {
 		if c.Center.Within(r.Loc, s.rError) {
-			c.Reports = append(c.Reports, r)
+			s.open[i].Reports = append(s.open[i].Reports, r)
 			return c, false
 		}
 	}
-	c = &Circle{Center: r.Loc, Deadline: now.Add(s.tout), Reports: []Report{r}}
+	if n := len(s.free); n > 0 {
+		c = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		//lint:allow hotalloc built only when no collected circle is free to reopen
+		c = &Circle{}
+	}
+	c.Center, c.Deadline, c.Reports = r.Loc, now.Add(s.tout), append(c.Reports[:0], r)
 	s.open = append(s.open, c)
 	return c, true
 }
 
 // Collect removes and returns every connected overlap component in which
 // all circle deadlines have passed by now. Each returned group is the
-// union of the component's reports, ready for the §3.2 clustering pass.
-// Components still waiting on a timer are left open.
+// union of the component's reports, ready for the §3.2 clustering pass;
+// groups come in ascending order of their component's root circle, and a
+// group lists its circles' reports in the order the circles opened.
+// Components still waiting on a timer are left open, and nil means none
+// was ready. The groups are the set's storage, valid until the next
+// Collect.
+//
+//hot:path
 func (s *CircleSet) Collect(now sim.Time) [][]Report {
 	if len(s.open) == 0 {
 		return nil
 	}
-	comps := s.components()
-	var groups [][]Report
-	taken := make(map[*Circle]bool)
-	for _, comp := range comps {
-		ready := true
-		for _, c := range comp {
-			if c.Deadline > now {
-				ready = false
-				break
-			}
+	root := s.components()
+	n := len(s.open)
+	ready := s.ready[:0]
+	for range s.open {
+		ready = append(ready, true)
+	}
+	for i, c := range s.open {
+		if c.Deadline > now {
+			ready[root[i]] = false
 		}
-		if !ready {
+	}
+	s.ready = ready
+	k := 0
+	for r := 0; r < n; r++ {
+		if root[r] != r || !ready[r] {
 			continue
 		}
-		var union []Report
-		for _, c := range comp {
-			union = append(union, c.Reports...)
-			taken[c] = true
+		if k == len(s.groups) {
+			s.groups = append(s.groups, nil)
 		}
-		groups = append(groups, union)
-	}
-	if len(taken) > 0 {
-		kept := s.open[:0]
-		for _, c := range s.open {
-			if !taken[c] {
-				kept = append(kept, c)
+		union := s.groups[k][:0]
+		for i, c := range s.open {
+			if root[i] == r {
+				union = append(union, c.Reports...)
 			}
 		}
-		s.open = kept
+		s.groups[k] = union
+		k++
 	}
-	return groups
+	if k == 0 {
+		return nil
+	}
+	kept := s.open[:0]
+	for i, c := range s.open {
+		if ready[root[i]] {
+			s.free = append(s.free, c)
+		} else {
+			kept = append(kept, c)
+		}
+	}
+	clear(s.open[len(kept):])
+	s.open = kept
+	return s.groups[:k]
 }
 
 // NextDeadline returns the earliest deadline among open circles, or ok =
@@ -125,46 +161,35 @@ func (s *CircleSet) NextDeadline() (t sim.Time, ok bool) {
 }
 
 // components partitions open circles into connected components of the
-// overlap graph. Two circles of radius rError overlap when their centers
-// are within 2·rError.
-func (s *CircleSet) components() [][]*Circle {
+// overlap graph: it returns, for each open circle, the index of its
+// component's root. Two circles of radius rError overlap when their
+// centers are within 2·rError.
+func (s *CircleSet) components() []int {
 	n := len(s.open)
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
+	parent := s.root[:0]
+	for i := 0; i < n; i++ {
+		parent = append(parent, i)
 	}
-	var find func(int) int
-	find = func(i int) int {
+	s.root = parent
+	find := func(i int) int {
 		for parent[i] != i {
 			parent[i] = parent[parent[i]]
 			i = parent[i]
 		}
 		return i
 	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
 	touch := 2 * s.rError
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if s.open[i].Center.Dist(s.open[j].Center) <= touch {
-				union(i, j)
+				if ra, rb := find(i), find(j); ra != rb {
+					parent[ra] = rb
+				}
 			}
 		}
 	}
-	groups := make(map[int][]*Circle)
-	for i, c := range s.open {
-		r := find(i)
-		groups[r] = append(groups[r], c)
+	for i := range parent {
+		parent[i] = find(i)
 	}
-	out := make([][]*Circle, 0, len(groups))
-	for i := 0; i < n; i++ {
-		if find(i) == i {
-			out = append(out, groups[i])
-		}
-	}
-	return out
+	return parent
 }

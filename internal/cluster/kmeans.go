@@ -6,7 +6,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/tibfit/tibfit/internal/geo"
@@ -79,14 +81,15 @@ func Cluster(reports []Report, rError float64) []EventCluster {
 }
 
 // Clusterer runs the §3.2 heuristic with persistent scratch: the sorted
-// report copy, per-center member lists, the convergence fingerprint, the
-// center buffers, and the spatial grid survive across calls, so a
-// steady-state Cluster call allocates only the escaping result. A
-// Clusterer is not safe for concurrent use; give each goroutine its own.
+// report copy, per-center member lists, the cluster slice, the
+// convergence fingerprint, the center buffers, and the spatial grid
+// survive across calls, so a steady-state Cluster call allocates nothing.
+// A Clusterer is not safe for concurrent use; give each goroutine its own.
 type Clusterer struct {
-	sorted  []Report
-	scratch [][]Report
-	sig     sigScratch
+	sorted   []Report
+	scratch  [][]Report
+	clusters []EventCluster
+	sig      sigScratch
 
 	// seedPts and mergePts alternate as center storage: seedPts carries
 	// the seeded centers into the refinement loop, mergePts the merged
@@ -130,30 +133,36 @@ func (c *Clusterer) lazyGrid() *geo.Grid {
 // localization error exceeds rError land in separate (typically tiny)
 // clusters, which the subsequent CTI vote throws out — this is the
 // mechanism by which TIBFIT discards badly localized reports.
+//
+// The result and its member lists are the Clusterer's storage: they stay
+// valid until the next Cluster call, which overwrites them. A caller that
+// keeps clusters longer copies them.
+//
+//hot:path
 func (c *Clusterer) Cluster(reports []Report, rError float64) []EventCluster {
 	if len(reports) == 0 {
 		return nil
 	}
 	if rError <= 0 {
+		//lint:allow hotalloc panic construction on the rejection path, not per round
 		panic(fmt.Sprintf("cluster: rError must be positive, got %v", rError))
 	}
 	// Canonicalize processing order so the heuristic's tie-breaks (and
 	// therefore its output) do not depend on report arrival order.
 	c.sorted = append(c.sorted[:0], reports...)
-	sort.Slice(c.sorted, func(i, j int) bool { return c.sorted[i].Node < c.sorted[j].Node })
+	slices.SortFunc(c.sorted, func(a, b Report) int { return cmp.Compare(a.Node, b.Node) })
 	reports = c.sorted
 	centers := c.seedCenters(reports, rError)
 	var clusters []EventCluster
 	c.sig.reset()
-	// Member-list scratch for the refinement rounds: centers never grow
-	// after seeding, so one buffer sized to the seed count serves every
-	// round. The final assignment below allocates fresh lists, because
-	// those escape to the caller.
+	// Member-list scratch for every assignment: centers never grow after
+	// seeding, so one buffer sized to the seed count serves the
+	// refinement rounds and the final assignment alike.
 	if cap(c.scratch) < len(centers) {
 		c.scratch = make([][]Report, len(centers))
 	}
 	for round := 0; round < maxRounds; round++ {
-		clusters = c.assign(reports, centers, c.scratch)
+		clusters = c.assign(reports, centers)
 		centers = c.mergeCenters(clusters, rError)
 		if c.sig.converged(clusters) && len(centers) == len(clusters) {
 			break
@@ -161,7 +170,9 @@ func (c *Clusterer) Cluster(reports []Report, rError float64) []EventCluster {
 	}
 	// Final assignment against the merged centers so that the returned
 	// clusters are consistent with the centers' separation invariant.
-	clusters = c.assign(reports, centers, nil)
+	// The rounds' clusters are dead by now: mergeCenters and the
+	// fingerprint have read them.
+	clusters = c.assign(reports, centers)
 	for i := range clusters {
 		clusters[i].Center = reportCentroid(clusters[i].Reports)
 	}
@@ -266,7 +277,8 @@ func farthestPairHull(reports []Report) (ai, bi int, maxD2 float64) {
 	cross := func(o, a, b geo.Point) float64 {
 		return (a.X-o.X)*(b.Y-o.Y) - (a.Y-o.Y)*(b.X-o.X)
 	}
-	var hull []int
+	// The two chains hold at most every point once each.
+	hull := make([]int, 0, 2*len(idx))
 	// Lower then upper chain; non-left turns (including collinear points)
 	// pop, so only extreme vertices survive.
 	for _, i := range idx {
@@ -309,20 +321,17 @@ func farthestPairHull(reports []Report) (ai, bi int, maxD2 float64) {
 // assign groups every report with its nearest center (step 4) and sets
 // each cluster's center to the member centroid. Because reports arrive in
 // ascending Node order, each member list is node-sorted by construction.
-// scratch, when large enough, provides reusable member-list storage for
-// rounds whose clusters do not outlive the refinement loop; pass nil when
-// the result escapes. At grid scale the per-report argmin runs as a
-// nearest query whose (distance², index) comparator is the brute loop's
-// first-strict-min rule exactly.
-func (c *Clusterer) assign(reports []Report, centers []geo.Point, scratch [][]Report) []EventCluster {
-	var members [][]Report
-	if cap(scratch) >= len(centers) {
-		members = scratch[:len(centers)]
-		for i := range members {
-			members[i] = members[i][:0]
-		}
-	} else {
-		members = make([][]Report, len(centers))
+// The member lists live in c.scratch, which Cluster sizes to the seed
+// count, and the clusters in c.clusters; both are overwritten by the next
+// call. At grid scale the per-report argmin runs as a nearest query whose
+// (distance², index) comparator is the brute loop's first-strict-min rule
+// exactly.
+//
+//hot:path
+func (c *Clusterer) assign(reports []Report, centers []geo.Point) []EventCluster {
+	members := c.scratch[:len(centers)]
+	for i := range members {
+		members[i] = members[i][:0]
 	}
 	if len(centers) >= gridMinPoints {
 		g := c.lazyGrid()
@@ -342,13 +351,14 @@ func (c *Clusterer) assign(reports []Report, centers []geo.Point, scratch [][]Re
 			members[best] = append(members[best], r)
 		}
 	}
-	clusters := make([]EventCluster, 0, len(centers))
+	clusters := c.clusters[:0]
 	for _, m := range members {
 		if len(m) == 0 {
 			continue // a merged-away or out-competed center
 		}
 		clusters = append(clusters, EventCluster{Center: reportCentroid(m), Reports: m})
 	}
+	c.clusters = clusters
 	return clusters
 }
 
@@ -431,8 +441,12 @@ func (c *Clusterer) mergeCentersGrid(cs []wc, rError float64) []wc {
 // mergePair folds center j into center i (weighted average) and removes j.
 func mergePair(cs []wc, i, j int) []wc {
 	w := cs[i].w + cs[j].w
+	// Both literals stay on the stack: WeightedCentroid inlines and keeps
+	// neither.
 	avg, ok := geo.WeightedCentroid(
+		//lint:allow hotalloc does not escape (go build -gcflags=-m)
 		[]geo.Point{cs[i].p, cs[j].p},
+		//lint:allow hotalloc does not escape (go build -gcflags=-m)
 		[]float64{cs[i].w, cs[j].w})
 	if !ok {
 		avg = cs[i].p
@@ -496,18 +510,25 @@ func (s *sigScratch) converged(clusters []EventCluster) bool {
 }
 
 // sortClusters orders clusters by descending size then by center for
-// deterministic output.
+// deterministic output. slices.SortFunc runs the same pdqsort as
+// sort.Slice, and the comparator is negative exactly where the old less
+// function was true, so the order is unchanged, ties included.
 func sortClusters(clusters []EventCluster) {
-	sort.Slice(clusters, func(i, j int) bool {
-		if len(clusters[i].Reports) != len(clusters[j].Reports) {
-			return len(clusters[i].Reports) > len(clusters[j].Reports)
+	slices.SortFunc(clusters, func(a, b EventCluster) int {
+		if n := cmp.Compare(len(b.Reports), len(a.Reports)); n != 0 {
+			return n
 		}
-		ci, cj := clusters[i].Center, clusters[j].Center
 		//lint:allow floateq total-order tie-break comparator; exact comparison is the point
-		if ci.X != cj.X {
-			return ci.X < cj.X
+		if a.Center.X != b.Center.X {
+			if a.Center.X < b.Center.X {
+				return -1
+			}
+			return 1
 		}
-		return ci.Y < cj.Y
+		if a.Center.Y < b.Center.Y {
+			return -1
+		}
+		return 0
 	})
 }
 

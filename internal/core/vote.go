@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // BinaryDecision is the outcome of one CTI vote over an event-neighbor set
@@ -38,11 +38,18 @@ func (d BinaryDecision) Margin() float64 { return d.CTIFor - d.CTIAgainst }
 // weighing. The function does not update trust state; call Apply with the
 // returned decision to do that, so that shadow cluster heads can evaluate
 // a decision without committing it.
+//
+// The decision's sides are fresh sorted copies, both cut from one new
+// array, so the arguments stay the caller's to reuse.
+//
+//hot:path
 func DecideBinary(w Weigher, reporters, silent []int) BinaryDecision {
-	d := BinaryDecision{
-		Reporters: filterActive(w, reporters),
-		Silent:    filterActive(w, silent),
-	}
+	// The sides escape to the caller, so this is the vote's one allocation.
+	ids := make([]int, 0, len(reporters)+len(silent))
+	ids = appendActive(ids, w, reporters)
+	n := len(ids)
+	ids = appendActive(ids, w, silent)
+	d := BinaryDecision{Reporters: ids[:n:n], Silent: ids[n:]}
 	d.CTIFor = CTI(w, d.Reporters)
 	d.CTIAgainst = CTI(w, d.Silent)
 	d.Occurred = d.CTIFor > d.CTIAgainst
@@ -60,16 +67,20 @@ func Apply(w Weigher, d BinaryDecision) {
 	}
 }
 
-// filterActive drops isolated nodes and returns a sorted copy.
-func filterActive(w Weigher, nodes []int) []int {
-	out := make([]int, 0, len(nodes))
+// appendActive appends the nodes that are not isolated to dst and sorts
+// the appended part, unless the nodes arrived ascending (the aggregators'
+// sides always do).
+func appendActive(dst []int, w Weigher, nodes []int) []int {
+	start := len(dst)
 	for _, id := range nodes {
 		if !w.Isolated(id) {
-			out = append(out, id)
+			dst = append(dst, id)
 		}
 	}
-	sort.Ints(out)
-	return out
+	if added := dst[start:]; !slices.IsSorted(added) {
+		slices.Sort(added)
+	}
+	return dst
 }
 
 // Estimator mirrors the sink-side trust computation from a node's own

@@ -8,6 +8,7 @@ import (
 	"github.com/tibfit/tibfit/internal/geo"
 	"github.com/tibfit/tibfit/internal/leach"
 	"github.com/tibfit/tibfit/internal/radio"
+	"github.com/tibfit/tibfit/internal/rng"
 	"github.com/tibfit/tibfit/internal/sim"
 	"github.com/tibfit/tibfit/internal/trace"
 	"github.com/tibfit/tibfit/internal/workload"
@@ -242,16 +243,15 @@ func runExp2Once(cfg Exp2Config, seed int64) (Exp2Result, error) {
 			idx := eventIndex
 			run.expect(ev)
 			eventIndex++
-			var backoff func(send func())
+			var jitter *rng.Source
 			if cfg.MACCollisionWindow > 0 {
-				jitter := run.root.Split(fmt.Sprintf("jitter-%d", ev.ID))
-				backoff = func(send func()) { kernel.After(sim.Duration(jitter.Uniform(0, cfg.Tout/2)), send) }
+				jitter = run.root.Split(fmt.Sprintf("jitter-%d", ev.ID))
 			}
 			if _, err := kernel.At(sim.Time(ev.Time), func() {
 				if cfg.Decay != nil {
 					run.upTo(cfg.Decay.CompromisedAt(idx, cfg.Nodes))
 				}
-				run.fire(ev, backoff)
+				run.fire(ev, jitter)
 			}); err != nil {
 				return Exp2Result{}, err
 			}

@@ -181,6 +181,9 @@ type locationRun struct {
 	// The truth ledger.
 	truths   []*truthEvent
 	falsePos int
+
+	// free holds the report records no event is using.
+	free []*report
 }
 
 // newLocationRun builds the kernel, the root stream and the channel for
@@ -287,10 +290,12 @@ func (r *locationRun) detection() metrics.Detection {
 }
 
 // fire makes every event neighbor sense and (maybe) report the event to
-// the current cluster head. A non-nil backoff sends each report when it
-// chooses instead of at once: CSMA-style sender backoff, which keeps a
+// the current cluster head. A non-nil jitter delays each report by a
+// uniform draw from [0, T_out/2): CSMA-style sender backoff, which keeps a
 // burst of reports from colliding under the MAC contention model.
-func (r *locationRun) fire(ev workload.Event, backoff func(send func())) {
+//
+//hot:path
+func (r *locationRun) fire(ev workload.Event, jitter *rng.Source) {
 	for _, n := range r.nodes {
 		if n.Pos().Dist(ev.Loc) > r.SenseRadius {
 			continue
@@ -299,26 +304,86 @@ func (r *locationRun) fire(ev workload.Event, backoff func(send func())) {
 		if !send {
 			continue
 		}
-		id := n.ID()
-		off := n.ReportOffset(loc)
-		r.tr.Emit(ev.Time, trace.KindReportSent, id, "event=%d", ev.ID)
-		if backoff == nil {
-			r.send(n.Pos(), id, off, ev.Time)
+		rep := r.newReport()
+		rep.from, rep.id, rep.off, rep.at = n.Pos(), n.ID(), n.ReportOffset(loc), ev.Time
+		if r.tr.Verbose() {
+			//lint:allow hotalloc formatting only when the trace keeps or streams records
+			r.tr.Emit(ev.Time, trace.KindReportSent, rep.id, "event=%d", ev.ID)
+		} else {
+			r.tr.Hit(trace.KindReportSent)
+		}
+		if jitter == nil {
+			rep.send()
 			continue
 		}
-		from := n.Pos()
-		backoff(func() { r.send(from, id, off, ev.Time) })
+		r.kernel.After(sim.Duration(jitter.Uniform(0, r.Tout/2)), rep.transmit)
 	}
 }
 
-// send transmits one location report to the cluster head, tracing a
-// drop. The head is read on delivery, so a report in flight across a CH
-// rotation reaches the new one.
-func (r *locationRun) send(from geo.Point, id int, off geo.Polar, at float64) {
-	if out := r.channel.Send(from, r.chPos, func() { r.agg.Deliver(id, off) }); out != radio.Delivered {
-		r.tr.Emit(at, trace.KindReportDropped, id, "%v", out)
-	}
+// report is one location report on its way from a node to the cluster
+// head. Records come from the run's free list and go back to it once the
+// report is dropped or delivered, and each binds its two kernel handlers
+// when it is built, so a report in flight allocates nothing. The location
+// channel injects no duplicates, so a delivered report arrives once.
+type report struct {
+	r    *locationRun
+	from geo.Point
+	id   int
+	off  geo.Polar
+	at   float64 // the event's time, for the drop trace
+
+	transmit sim.Handler // send, after a sender backoff
+	deliver  sim.Handler // arrive, on reaching the head
 }
+
+// newReport takes a record from the free list, building one only when the
+// list is empty: a run builds as many as it has reports in flight at once.
+func (r *locationRun) newReport() *report {
+	if n := len(r.free); n > 0 {
+		rep := r.free[n-1]
+		r.free = r.free[:n-1]
+		return rep
+	}
+	//lint:allow hotalloc built only when every record is in flight; records are recycled
+	rep := &report{r: r}
+	//lint:allow hotalloc bound once per record, not per report
+	rep.transmit = rep.send
+	//lint:allow hotalloc bound once per record, not per report
+	rep.deliver = rep.arrive
+	return rep
+}
+
+// send transmits the report to the cluster head, tracing a drop. A
+// dropped report's record is free at once.
+//
+//hot:path
+func (rep *report) send() {
+	r := rep.r
+	out := r.channel.Send(rep.from, r.chPos, rep.deliver)
+	if out == radio.Delivered {
+		return
+	}
+	if r.tr.Verbose() {
+		//lint:allow hotalloc formatting only when the trace keeps or streams records
+		r.tr.Emit(rep.at, trace.KindReportDropped, rep.id, "%v", out)
+	} else {
+		r.tr.Hit(trace.KindReportDropped)
+	}
+	r.release(rep)
+}
+
+// arrive hands the report to the cluster head. The head is read on
+// delivery, so a report in flight across a CH rotation reaches the new
+// one.
+//
+//hot:path
+func (rep *report) arrive() {
+	rep.r.agg.Deliver(rep.id, rep.off)
+	rep.r.release(rep)
+}
+
+// release returns a record to the free list.
+func (r *locationRun) release(rep *report) { r.free = append(r.free, rep) }
 
 // sender is the transmit surface both the flat channel and the MAC
 // contention wrapper provide.

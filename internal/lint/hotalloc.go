@@ -35,7 +35,9 @@ var HotAlloc = &analysis.Analyzer{
 		"lazily-called one-time setup whose allocations are not per-event.\n" +
 		"Inside hot code the analyzer flags heap-escaping\n" +
 		"composite literals, map and channel allocation, append to a local\n" +
-		"slice made without capacity, boxing into ...interface{}, method values\n" +
+		"slice made without capacity (locals aliasing a field or parameter,\n" +
+		"x := s.buf[:0] or p := &s.scratch, are scratch), boxing into\n" +
+		"...interface{}, method values\n" +
 		"used outside call position, and any fmt call. Deliberate one-time\n" +
 		"allocations take //lint:allow hotalloc.",
 	FactTypes: []analysis.Fact{(*registersHandlerFact)(nil)},
@@ -255,8 +257,11 @@ func staticFuncValue(info *types.Info, expr ast.Expr) *types.Func {
 // checkHotBody reports per-event allocation constructs inside one hot
 // function body.
 func checkHotBody(pass *analysis.Pass, body *ast.BlockStmt, name, why string) {
-	// Local slices made with an explicit capacity are the sanctioned
-	// append targets; collect them first.
+	// Local slices made with an explicit capacity, and locals that alias
+	// storage the function does not own locally (the scratch-buffer
+	// idioms x := s.buf[:0] and p := &s.scratch), are the sanctioned
+	// append targets; collect them first, in source order, so an alias of
+	// an alias counts too.
 	withCap := map[types.Object]bool{}
 	ast.Inspect(body, func(n ast.Node) bool {
 		assign, ok := n.(*ast.AssignStmt)
@@ -264,8 +269,7 @@ func checkHotBody(pass *analysis.Pass, body *ast.BlockStmt, name, why string) {
 			return true
 		}
 		for i, rhs := range assign.Rhs {
-			call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-			if !ok || !isBuiltinMake(pass.TypesInfo, call) || len(call.Args) < 3 {
+			if !madeWithCap(pass.TypesInfo, rhs) && !aliasesScratch(pass.TypesInfo, rhs, body, withCap) {
 				continue
 			}
 			if id, ok := assign.Lhs[i].(*ast.Ident); ok {
@@ -355,6 +359,36 @@ func checkHotBody(pass *analysis.Pass, body *ast.BlockStmt, name, why string) {
 		}
 		return true
 	})
+}
+
+// madeWithCap reports whether e is a make call with an explicit capacity.
+func madeWithCap(info *types.Info, e ast.Expr) bool {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	return ok && isBuiltinMake(info, call) && len(call.Args) >= 3
+}
+
+// aliasesScratch reports whether e reslices or takes the address of
+// storage the function does not own locally: a field or a parameter, or a
+// local already known to alias one. It matches s.buf[:0] (directly or as
+// append's first argument) and &s.scratch.
+func aliasesScratch(info *types.Info, e ast.Expr, body *ast.BlockStmt, scratch map[types.Object]bool) bool {
+	e = ast.Unparen(e)
+	if call, ok := e.(*ast.CallExpr); ok && isBuiltinAppend(info, call) && len(call.Args) > 0 {
+		e = ast.Unparen(call.Args[0])
+	}
+	switch v := e.(type) {
+	case *ast.SliceExpr:
+		e = v.X
+	case *ast.UnaryExpr:
+		if v.Op != token.AND {
+			return false
+		}
+		e = v.X
+	default:
+		return false
+	}
+	obj := objectOf(info, rootIdent(e))
+	return obj != nil && (!declaredInside(obj, body) || scratch[obj])
 }
 
 // typeLabel renders a composite literal's type for a diagnostic.

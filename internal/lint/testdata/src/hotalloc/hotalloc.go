@@ -17,6 +17,11 @@ type payload struct {
 type table struct {
 	cache map[int]float64
 	buf   []int
+	set   scratchSet
+}
+
+type scratchSet struct {
+	ids []int
 }
 
 // dispatch is the seeded hot function: every per-event allocation kind
@@ -37,6 +42,13 @@ func (t *table) dispatch(id int) {
 	var grow []int
 	grow = append(grow, id) // want `append to grow may reallocate per event in hot path dispatch`
 	_ = grow
+	sub := grow[:0]
+	sub = append(sub, id) // want `append to sub may reallocate per event in hot path dispatch`
+	_ = sub
+	var own scratchSet
+	alias := &own
+	alias.ids = append(alias.ids, id) // want `append to alias may reallocate per event in hot path dispatch`
+
 	fmt.Println(id) // want `fmt\.Println allocates and boxes its arguments in hot path dispatch`
 	t.helper(id)
 	t.coldStart()
@@ -71,6 +83,17 @@ func (t *table) scratch(in []int, id int) []int {
 	sized = append(sized, id)
 	in = append(in, id)
 	t.buf = append(t.buf, id)
+	reused := t.buf[:0]
+	reused = append(reused, id)
+	t.buf = reused
+	grown := append(in[:0], id)
+	grown = append(grown, id)
+	_ = grown
+	set := &t.set
+	set.ids = append(set.ids, id)
+	ids := set.ids[:0]
+	ids = append(ids, id)
+	set.ids = ids
 	//lint:allow hotalloc deliberate per-call handle, pinned by a bench
 	h := &payload{id: id}
 	_ = h

@@ -60,7 +60,7 @@ func TestLinkCacheEviction(t *testing.T) {
 		}
 	}
 	if got := len(ch.links); got != linkCacheSize {
-		t.Fatalf("cache has %d slots, want fixed %d", got, linkCacheSize)
+		t.Fatalf("cache has %d slots, want the cap %d", got, linkCacheSize)
 	}
 }
 
@@ -112,4 +112,22 @@ func TestSendUsesCachedLink(t *testing.T) {
 	if coldTimes[0] != warmTimes[0] {
 		t.Fatalf("final clock diverged: cold=%v warm=%v", coldTimes[0], warmTimes[0])
 	}
+}
+
+// TestLinkCacheSizedToLivePairs checks the cache grows with the pairs a
+// channel actually prices: a location grid's hundred members sending to
+// one head over and over settle in a table far below the cap, while
+// TestLinkCacheEviction's flood of distinct pairs reaches it.
+func TestLinkCacheSizedToLivePairs(t *testing.T) {
+	ch, _ := newTestChannel(DefaultConfig(), 1)
+	head := geo.Point{X: 50, Y: 50}
+	for pass := 0; pass < 200; pass++ {
+		for i := 0; i < 100; i++ {
+			ch.Delay(geo.Point{X: float64(5 + 10*(i%10)), Y: float64(5 + 10*(i/10))}, head)
+		}
+	}
+	if got := len(ch.links); got > linkCacheSize/4 {
+		t.Fatalf("100 live pairs grew the cache to %d slots, want at most %d", got, linkCacheSize/4)
+	}
+	t.Logf("100 live pairs settle at %d slots", len(ch.links))
 }

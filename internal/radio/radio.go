@@ -138,12 +138,22 @@ type linkEntry struct {
 	cost linkCost
 }
 
-// linkCacheSize is the slot count (power of two for mask indexing). The
-// experiments' live pair populations — members × advertising heads — are
-// a few thousand at most; colliding pairs just alternate recomputing.
-const linkCacheSize = 4096
+// linkCacheMin and linkCacheSize bound the cache's slot count (powers of
+// two for mask indexing). A channel starts small and doubles while its
+// misses stay high, so a campaign pays for the pairs it prices: a
+// location grid sends a hundred members to one head, and a 100k-node
+// field's affiliation churns through far more pairs than the largest
+// table holds. Colliding pairs just alternate recomputing.
+const (
+	linkCacheMin  = 64
+	linkCacheSize = 4096
+)
 
-// linkHash mixes the four coordinate words FNV-style into a slot index.
+// linkHash mixes the four coordinate words FNV-style, then folds the
+// high bits down with the murmur3 finalizer, into a slot index. The fold
+// matters: a multiply carries only upward, and whole-number coordinates
+// such as a grid's leave the low 44 bits of every word zero, so without
+// it every pair of a 10×10 grid lands in one slot.
 func linkHash(a, b geo.Point) uint64 {
 	const prime = 1099511628211
 	h := uint64(14695981039346656037)
@@ -151,7 +161,11 @@ func linkHash(a, b geo.Point) uint64 {
 	h = (h ^ math.Float64bits(a.Y)) * prime
 	h = (h ^ math.Float64bits(b.X)) * prime
 	h = (h ^ math.Float64bits(b.Y)) * prime
-	return h ^ (h >> 32)
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	return h ^ (h >> 33)
 }
 
 // Channel is a stochastic wireless channel bound to a simulation kernel.
@@ -161,6 +175,9 @@ type Channel struct {
 	src       *rng.Source
 	perturber Perturber
 	links     []linkEntry
+	// probes and misses count cache lookups in the current window, which
+	// closes on the first miss after 2·len(links) probes.
+	probes, misses int
 
 	sent       int
 	delivered  int
@@ -172,21 +189,36 @@ type Channel struct {
 
 // NewChannel returns a channel using the given kernel and random stream.
 func NewChannel(cfg Config, kernel *sim.Kernel, src *rng.Source) *Channel {
-	return &Channel{cfg: cfg, kernel: kernel, src: src, links: make([]linkEntry, linkCacheSize)}
+	return &Channel{cfg: cfg, kernel: kernel, src: src}
 }
 
 // link returns the cached geometry costs for the pair, computing and
 // memoizing them on first use. The returned pointer stays valid until the
-// slot is evicted by a colliding pair, so callers use it immediately.
-// Lookup is a deterministic pure function of the coordinates — no map
-// iteration, no randomized hashing — so it cannot perturb run order.
+// slot is evicted by a colliding pair or the cache grows, so callers use
+// it immediately. Lookup is a deterministic pure function of the
+// coordinates — no map iteration, no randomized hashing — so it cannot
+// perturb run order, and neither can the cache's size.
+//
+//hot:path
 func (c *Channel) link(a, b geo.Point) *linkCost {
 	if c.links == nil {
-		c.links = make([]linkEntry, linkCacheSize)
+		c.links = make([]linkEntry, linkCacheMin)
 	}
-	e := &c.links[linkHash(a, b)&(linkCacheSize-1)]
+	h := linkHash(a, b)
+	e := &c.links[h&uint64(len(c.links)-1)]
+	c.probes++
 	if e.used && e.key.from == a && e.key.to == b {
 		return &e.cost
+	}
+	c.misses++
+	if c.probes >= 2*len(c.links) {
+		// More than a quarter of the window missed: the live pairs
+		// outnumber the slots, so double the table.
+		if 4*c.misses > c.probes && len(c.links) < linkCacheSize {
+			c.grow()
+			e = &c.links[h&uint64(len(c.links)-1)]
+		}
+		c.probes, c.misses = 0, 0
 	}
 	d := a.Dist(b)
 	e.used = true
@@ -196,6 +228,19 @@ func (c *Channel) link(a, b geo.Point) *linkCost {
 		delay: c.cfg.BaseDelay + sim.Duration(d)*c.cfg.DelayPerUnit,
 	}
 	return &e.cost
+}
+
+// grow doubles the cache, keeping every entry: an entry in slot i moves
+// to slot i or i+len, so no two entries collide on the way.
+func (c *Channel) grow() {
+	old := c.links
+	c.links = make([]linkEntry, 2*len(old))
+	mask := uint64(len(c.links) - 1)
+	for _, e := range old {
+		if e.used {
+			c.links[linkHash(e.key.from, e.key.to)&mask] = e
+		}
+	}
 }
 
 // Config returns the channel configuration.

@@ -41,6 +41,17 @@ const maxBodyBytes = 1 << 20
 // the daemon allocate more than a large one can.
 const maxNodes = maxBodyBytes / 2
 
+// maxTenants bounds how many tenants one server holds, so a loop of small
+// create requests cannot grow the daemon without limit. It sits 16× above
+// the busiest configured load, serve-decide's 256 tenants.
+const maxTenants = 4096
+
+// maxTout bounds a tenant's T_out in virtual units (11.6 days at the
+// default millisecond unit), so no window is held open for longer than a
+// daemon plausibly runs. It sits 100× above the longest configured
+// window, serve-ingest's 10⁷ units.
+const maxTout = 1e9
+
 // maxDecisionPage caps one decision poll: a poll renders at most this
 // many decisions, however far behind it starts, so a full 4096-entry
 // ring is read in pages rather than one multi-hundred-KB reply.
@@ -54,6 +65,11 @@ const DefaultUnit = time.Millisecond
 // ErrTenantExists is reported (wrapped) by CreateTenant when the tenant
 // name is already taken; the HTTP layer maps it to 409 Conflict.
 var ErrTenantExists = errors.New("tenant already exists")
+
+// ErrTooManyTenants is reported (wrapped) by CreateTenant when the server
+// already holds maxTenants tenants; the HTTP layer maps it to 429 Too Many
+// Requests. Dropping a tenant makes room again.
+var ErrTooManyTenants = errors.New("too many tenants")
 
 // Config configures a Server.
 type Config struct {
@@ -69,7 +85,8 @@ type TenantConfig struct {
 	// Scheme is a decision-registry name or alias (default "tibfit").
 	Scheme string `json:"scheme,omitempty"`
 	// Tout is the aggregation window length in the server's virtual
-	// units (default 100, i.e. 100 ms at the default unit).
+	// units (default 100, i.e. 100 ms at the default unit; at most
+	// maxTout).
 	Tout float64 `json:"tout,omitempty"`
 	// Members is the explicit node population. When empty, Nodes
 	// generates members 0..Nodes-1 (default 16, at most maxNodes).
@@ -161,15 +178,19 @@ func NewServer(cfg Config) *Server {
 func (s *Server) Unit() time.Duration { return s.unit }
 
 // CreateTenant builds a tenant's engine instance on the server's clock.
-// It fails if the name is invalid, Nodes exceeds maxNodes, Shards is
-// neither 0 nor 1, the tenant already exists, or the config is rejected
-// by the engine (unknown scheme, bad parameters).
+// It fails if the name is invalid, Nodes exceeds maxNodes, Tout exceeds
+// maxTout, Shards is neither 0 nor 1, the tenant already exists, the
+// server already holds maxTenants tenants, or the config is rejected by
+// the engine (unknown scheme, bad parameters).
 func (s *Server) CreateTenant(name string, cfg TenantConfig) error {
 	if err := cli.ValidateTenant(name); err != nil {
 		return err
 	}
 	if cfg.Nodes > maxNodes {
 		return fmt.Errorf("serve: tenant %q: nodes %d exceeds the limit of %d", name, cfg.Nodes, maxNodes)
+	}
+	if cfg.Tout > maxTout {
+		return fmt.Errorf("serve: tenant %q: tout %g exceeds the limit of %g", name, cfg.Tout, float64(maxTout))
 	}
 	if cfg.Shards != 0 && cfg.Shards != 1 {
 		return fmt.Errorf("serve: tenant %q: shards %d: a tenant is one event location, so shards must be 0 or 1", name, cfg.Shards)
@@ -179,6 +200,9 @@ func (s *Server) CreateTenant(name string, cfg TenantConfig) error {
 	defer s.mu.Unlock()
 	if _, ok := s.tenants[name]; ok {
 		return fmt.Errorf("serve: tenant %q: %w", name, ErrTenantExists)
+	}
+	if len(s.tenants) >= maxTenants {
+		return fmt.Errorf("serve: tenant %q: %w: the limit is %d", name, ErrTooManyTenants, maxTenants)
 	}
 	unitNS := float64(s.unit)
 	inst, err := engine.New(engine.Config{
@@ -408,8 +432,11 @@ func (s *Server) handleCreateTenant(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := s.CreateTenant(name, cfg); err != nil {
 		status := http.StatusBadRequest
-		if errors.Is(err, ErrTenantExists) {
+		switch {
+		case errors.Is(err, ErrTenantExists):
 			status = http.StatusConflict
+		case errors.Is(err, ErrTooManyTenants):
+			status = http.StatusTooManyRequests
 		}
 		writeError(w, status, "%v", err)
 		return

@@ -315,6 +315,37 @@ func TestServeRejectsOversizedNodes(t *testing.T) {
 	}
 }
 
+// TestServeRejectsOversizedTout pins the window bound: a T_out past
+// maxTout is a 400 naming the limit, and a T_out at it is accepted.
+func TestServeRejectsOversizedTout(t *testing.T) {
+	_, ts := testServer(t)
+	status, body := do(t, http.MethodPost, ts.URL+"/v1/tenants/slow", []byte(`{"tout":1000000001}`))
+	if status != http.StatusBadRequest || !strings.Contains(string(body), "exceeds the limit of 1e+09") {
+		t.Fatalf("oversized tout: HTTP %d: %s, want 400 naming the limit", status, body)
+	}
+	mustCreate(t, ts, "slow", `{"tout":1000000000}`)
+}
+
+// TestServeTenantCap pins the tenant bound: with maxTenants tenants held,
+// one more create is a 429 naming the limit, and dropping a tenant makes
+// room again.
+func TestServeTenantCap(t *testing.T) {
+	s, ts := testServer(t)
+	for i := 0; i < maxTenants; i++ {
+		if err := s.CreateTenant(fmt.Sprintf("t%d", i), TenantConfig{Nodes: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	status, body := do(t, http.MethodPost, ts.URL+"/v1/tenants/extra", []byte(`{"nodes":1}`))
+	if status != http.StatusTooManyRequests || !strings.Contains(string(body), fmt.Sprintf("the limit is %d", maxTenants)) {
+		t.Fatalf("tenant past the cap: HTTP %d: %s, want 429 naming the limit", status, body)
+	}
+	if !s.DropTenant("t0") {
+		t.Fatal("t0 missing")
+	}
+	mustCreate(t, ts, "extra", `{"nodes":1}`)
+}
+
 // TestServeRejectsOversizedBodies pins the body bound on every endpoint
 // that reads one: a body past maxBodyBytes is a 413 naming the limit,
 // and nothing of it lands. The line batch is 174,772 lines of "99999\n"

@@ -53,7 +53,7 @@ func BenchmarkSchedulerChurn(b *testing.B) {
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
-				timers := make([]*Timer, 64)
+				timers := make([]Timer, 64)
 				for i := 0; i < b.N; i++ {
 					for j := 0; j < 64; j++ {
 						timers[j] = k.After(Duration(1+j), func() {})
@@ -81,7 +81,7 @@ func BenchmarkSkewedHorizon(b *testing.B) {
 	k := New()
 	b.ReportAllocs()
 	b.ResetTimer()
-	far := make([]*Timer, 0, 1024)
+	far := make([]Timer, 0, 1024)
 	for i := 0; i < b.N; i++ {
 		far = far[:0]
 		for j := 0; j < 1024; j++ {

@@ -25,7 +25,7 @@ func TestCalendarGrowsAndShrinksWithPopulation(t *testing.T) {
 		t.Fatalf("initial buckets = %d, want %d", got, calMinBuckets)
 	}
 	const n = 10_000
-	timers := make([]*Timer, 0, n)
+	timers := make([]Timer, 0, n)
 	for i := 0; i < n; i++ {
 		timers = append(timers, k.After(Duration(1+i), func() {}))
 	}
@@ -66,7 +66,7 @@ func TestCalendarGrowsAndShrinksWithPopulation(t *testing.T) {
 func TestCalendarSwingKeepsBuckets(t *testing.T) {
 	k := New()
 	c := calOf(t, k)
-	timers := make([]*Timer, 64)
+	timers := make([]Timer, 64)
 	settled := 0
 	for i := 0; i < 100; i++ {
 		for j := range timers {
@@ -98,7 +98,7 @@ func TestCalendarSparseTailShrinks(t *testing.T) {
 	c := calOf(t, k)
 	const n, standing = 10_000, 5
 	const gap = n / standing
-	timers := make([]*Timer, 0, n)
+	timers := make([]Timer, 0, n)
 	for i := 0; i < n; i++ {
 		timers = append(timers, k.After(Duration(1+i), func() {}))
 	}
@@ -281,7 +281,7 @@ func TestCalendarStress(t *testing.T) {
 	k := New()
 	const n = 500_000
 	fired := 0
-	var timers []*Timer
+	var timers []Timer
 	for i := 0; i < n; i++ {
 		at := Time((i * 7919) % 104729) // pseudo-shuffled times
 		tm, err := k.At(at, func() { fired++ })

@@ -41,7 +41,7 @@ func genOps(seed int64, n int) []schedOp {
 // replay drives one kernel through the op list, recording every dispatch
 // (by schedule serial) and a state fingerprint after every op.
 func replay(k *Kernel, ops []schedOp) (dispatch []uint64, states []string) {
-	var timers []*Timer
+	var timers []Timer
 	serial := uint64(0)
 	for _, op := range ops {
 		switch op.kind {

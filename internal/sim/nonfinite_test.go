@@ -21,7 +21,7 @@ func TestAtRejectsNonFiniteTimes(t *testing.T) {
 				if !errors.Is(err, ErrNonFiniteTime) {
 					t.Fatalf("At(%v) err = %v, want ErrNonFiniteTime", float64(at), err)
 				}
-				if tm != nil {
+				if tm != (Timer{}) {
 					t.Fatalf("At(%v) returned a live timer alongside the error", float64(at))
 				}
 			}

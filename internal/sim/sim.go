@@ -21,8 +21,9 @@
 // Event records are recycled through a kernel-local free list (backed by
 // block allocation) rather than garbage-collected per event: a campaign
 // dispatches millions of timer events, and the steady-state cost of one is
-// a queue push/pop, not an allocation. Generation counters keep stale Timer
-// handles safe after their event record is reused.
+// a queue push/pop, not an allocation. Timer handles are values, so a
+// schedule allocates nothing once the free list is warm; generation
+// counters keep stale handles safe after their event record is reused.
 package sim
 
 import (
@@ -91,9 +92,11 @@ type event struct {
 }
 
 // Timer is a handle to a scheduled event that can be cancelled or queried.
-// Handles stay valid (and inert) after the event fires or is stopped, even
-// though the underlying record is recycled for later events: the generation
-// snapshot detects reuse.
+// It is a small value: At and After return it without allocating, and a
+// copy behaves exactly like the original. Handles stay valid (and inert)
+// after the event fires or is stopped, even though the underlying record
+// is recycled for later events: the generation snapshot detects reuse.
+// The zero Timer is inert too: it is never pending.
 type Timer struct {
 	k   *Kernel
 	ev  *event
@@ -102,15 +105,15 @@ type Timer struct {
 
 // pending reports whether the handle still refers to its original, queued
 // event.
-func (t *Timer) pending() bool {
-	return t != nil && t.ev != nil && t.ev.gen == t.gen && t.ev.index >= 0
+func (t Timer) pending() bool {
+	return t.ev != nil && t.ev.gen == t.gen && t.ev.index >= 0
 }
 
 // Stop cancels the timer, removing its event from the queue immediately,
 // so heavy timer churn cannot bloat the queue with dead entries. It
 // reports whether the cancellation prevented the event from firing (false
 // if it already fired or was already stopped).
-func (t *Timer) Stop() bool {
+func (t Timer) Stop() bool {
 	if !t.pending() {
 		return false
 	}
@@ -121,11 +124,11 @@ func (t *Timer) Stop() bool {
 }
 
 // Active reports whether the timer is still pending.
-func (t *Timer) Active() bool { return t.pending() }
+func (t Timer) Active() bool { return t.pending() }
 
 // When returns the virtual time the timer is scheduled to fire, or End once
-// it is no longer pending (fired, stopped, or nil).
-func (t *Timer) When() Time {
+// it is no longer pending (fired, stopped, or the zero Timer).
+func (t Timer) When() Time {
 	if !t.pending() {
 		return End
 	}
@@ -212,25 +215,25 @@ func (k *Kernel) recycle(ev *event) {
 // At schedules fn to run at absolute virtual time at. Scheduling at the
 // current time is allowed; the event fires after all events already queued
 // for that instant. It returns a Timer handle, ErrPastTime if at is before
-// the current time, and ErrNonFiniteTime if at is NaN or infinite.
+// the current time, and ErrNonFiniteTime if at is NaN or infinite; a
+// rejected schedule returns the zero Timer.
 //
 //hot:path
-func (k *Kernel) At(at Time, fn Handler) (*Timer, error) {
+func (k *Kernel) At(at Time, fn Handler) (Timer, error) {
 	if math.IsNaN(float64(at)) || math.IsInf(float64(at), 0) {
 		//lint:allow hotalloc error construction on the rejection path, not per event
-		return nil, fmt.Errorf("%w: requested=%v", ErrNonFiniteTime, float64(at))
+		return Timer{}, fmt.Errorf("%w: requested=%v", ErrNonFiniteTime, float64(at))
 	}
 	if at < k.now {
 		//lint:allow hotalloc error construction on the rejection path, not per event
-		return nil, fmt.Errorf("%w: now=%v requested=%v", ErrPastTime, k.now, at)
+		return Timer{}, fmt.Errorf("%w: now=%v requested=%v", ErrPastTime, k.now, at)
 	}
 	if k.sched == nil {
 		k.initScheduler()
 	}
 	ev := k.alloc(at, fn)
 	k.sched.push(ev)
-	//lint:allow hotalloc the Timer handle is the API's per-schedule contract
-	return &Timer{k: k, ev: ev, gen: ev.gen}, nil
+	return Timer{k: k, ev: ev, gen: ev.gen}, nil
 }
 
 // After schedules fn to run d time units from now. A non-positive delay
@@ -240,7 +243,7 @@ func (k *Kernel) At(at Time, fn Handler) (*Timer, error) {
 // would corrupt the run it came from.
 //
 //hot:path
-func (k *Kernel) After(d Duration, fn Handler) *Timer {
+func (k *Kernel) After(d Duration, fn Handler) Timer {
 	// Reject non-finite delays before the negative clamp: -Inf satisfies
 	// d < 0, and clamping it to zero would silently schedule a "broken"
 	// timer at the current instant instead of failing fast like NaN/+Inf.

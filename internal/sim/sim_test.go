@@ -159,7 +159,7 @@ func TestTimerWhen(t *testing.T) {
 	if tm.When() != 4 {
 		t.Fatalf("When() = %v, want 4", tm.When())
 	}
-	var nilTimer *Timer
+	var nilTimer Timer
 	if nilTimer.When() != End {
 		t.Fatal("nil timer When() != End")
 	}
@@ -301,18 +301,35 @@ func TestTimerWhenAfterStopAndFire(t *testing.T) {
 }
 
 // TestSteadyStateSchedulingDoesNotAllocateEvents checks the free list: in
-// a schedule/dispatch steady state the event record is recycled, leaving
-// only the Timer handle itself (one small allocation) per cycle.
+// a schedule/dispatch steady state the event record is recycled, and
+// neither the Timer handle (a value) nor stopping or querying it
+// allocates.
 func TestSteadyStateSchedulingDoesNotAllocateEvents(t *testing.T) {
 	k := New()
-	k.After(1, func() {})
+	fn := func() {}
+	k.After(1, fn)
 	k.Step() // prime the free list
-	avg := testing.AllocsPerRun(200, func() {
-		k.After(1, func() {})
-		k.Step()
-	})
-	if avg > 2 {
-		t.Fatalf("steady-state schedule+dispatch allocates %.1f objects/op, want <= 2", avg)
+	for name, cycle := range map[string]func(){
+		"After+Step": func() {
+			k.After(1, fn)
+			k.Step()
+		},
+		"At+Step": func() {
+			if _, err := k.At(k.Now()+1, fn); err != nil {
+				t.Fatal(err)
+			}
+			k.Step()
+		},
+		"After+When+Stop": func() {
+			tm := k.After(1, fn)
+			if tm.When() != k.Now()+1 || !tm.Stop() || tm.When() != End {
+				t.Fatal("timer handle misbehaved")
+			}
+		},
+	} {
+		if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
+			t.Errorf("%s allocates %.1f objects/op in steady state, want 0", name, avg)
+		}
 	}
 }
 
@@ -387,7 +404,7 @@ func TestKernelStress(t *testing.T) {
 	k := New()
 	const n = 1_000_000
 	fired := 0
-	var timers []*Timer
+	var timers []Timer
 	for i := 0; i < n; i++ {
 		at := Time((i * 7919) % 104729) // pseudo-shuffled times
 		tm, err := k.At(at, func() { fired++ })

@@ -30,7 +30,9 @@ type (
 	SimTime = sim.Time
 	// SimDuration is a span of virtual time.
 	SimDuration = sim.Duration
-	// Timer is a cancellable scheduled event.
+	// Timer is a cancellable scheduled event. Kernel.At and After
+	// return it by value, without allocating; the zero Timer is never
+	// pending.
 	Timer = sim.Timer
 )
 
