@@ -168,6 +168,7 @@ fuzz:
 	$(GO) test -fuzz FuzzSourceMatchesMathRand -fuzztime 5s ./internal/rng/
 	$(GO) test -fuzz FuzzSourceAPIMatchesMathRand -fuzztime 5s ./internal/rng/
 	$(GO) test -fuzz FuzzBatchParse -fuzztime 5s ./internal/serve/
+	$(GO) test -fuzz FuzzVectorSearch -fuzztime 5s ./internal/sparse/
 
 clean:
 	rm -rf figures

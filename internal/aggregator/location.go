@@ -10,6 +10,7 @@ import (
 	"github.com/tibfit/tibfit/internal/decision"
 	"github.com/tibfit/tibfit/internal/geo"
 	"github.com/tibfit/tibfit/internal/sim"
+	"github.com/tibfit/tibfit/internal/sparse"
 	"github.com/tibfit/tibfit/internal/trace"
 )
 
@@ -238,8 +239,10 @@ func NewLocation(cfg LocationConfig, scheme decision.Scheme, clock Clock, member
 func (l *Location) Rounds() int { return l.decided }
 
 // position returns the node's known position and whether the node is known.
+// On a contiguous member range (a grid campaign's clusters) sparse.Search
+// is one probe.
 func (l *Location) position(nodeID int) (geo.Point, bool) {
-	if _, ok := slices.BinarySearch(l.ids, nodeID); !ok {
+	if _, ok := sparse.Search(l.ids, nodeID); !ok {
 		return geo.Point{}, false
 	}
 	return l.pos[nodeID], true

@@ -3,9 +3,8 @@ package core
 import "testing"
 
 // BenchmarkTableJudgeAndWeight measures the per-verdict trust-update and
-// per-vote weight-lookup path. The §3 update rule walks v over a small
-// quantized set, so the exp(-λ·v) memo turns nearly every Weight call
-// into a map hit.
+// per-vote weight-lookup path: Judge recomputes the record's trust index,
+// Weight reads it back.
 func BenchmarkTableJudgeAndWeight(b *testing.B) {
 	t := MustNewTable(Params{Lambda: 0.25, FaultRate: 0.1})
 	b.ReportAllocs()
@@ -18,6 +17,34 @@ func BenchmarkTableJudgeAndWeight(b *testing.B) {
 	}
 	if sink < 0 {
 		b.Fatal("impossible")
+	}
+}
+
+// BenchmarkTableWeight measures one vote-weight read among 100 judged
+// members. Dense IDs 0…99 hit the sparse lookup's offset probe; every
+// third ID (0, 3, …, 297) misses it and pays the capped bisection.
+func BenchmarkTableWeight(b *testing.B) {
+	for _, tc := range []struct {
+		name   string
+		stride int
+	}{{"dense", 1}, {"gapped", 3}} {
+		b.Run(tc.name, func(b *testing.B) {
+			t := MustNewTable(Params{Lambda: 0.25, FaultRate: 0.1})
+			ids := make([]int, 100)
+			for i := range ids {
+				ids[i] = i * tc.stride
+				t.Judge(ids[i], i%10 != 0)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var sink float64
+			for i := 0; i < b.N; i++ {
+				sink += t.Weight(ids[i%len(ids)])
+			}
+			if sink < 0 {
+				b.Fatal("impossible")
+			}
+		})
 	}
 }
 

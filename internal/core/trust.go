@@ -79,10 +79,10 @@ func (p Params) Validate() error {
 	}
 }
 
-// TrustOf converts a fault accumulator to a trust index under p — the
-// unmemoized §3 mapping, exported for callers needing a one-off
-// conversion without building a Table (e.g. the base station consulting
-// an uploaded trust record during head appointment).
+// TrustOf converts a fault accumulator to a trust index under p — the §3
+// mapping a Table keeps on each record, exported for callers needing a
+// one-off conversion without building a Table (e.g. the base station
+// consulting an uploaded trust record during head appointment).
 func (p Params) TrustOf(v float64) float64 { return p.trustOf(v) }
 
 // trustOf converts a fault accumulator to a trust index under p.
@@ -138,24 +138,28 @@ type Weigher interface {
 // its cluster. It is not safe for concurrent use; the simulator is
 // single-threaded and a real CH is a single mote.
 //
-// Records live in a CSR-style sparse vector (sorted IDs + binary search,
-// internal/sparse) rather than a dense map: memory is O(nodes actually
-// judged), Nodes/IsolatedNodes walk the entries already in ID order with
-// no sort, and a window-close feedback pass over a cluster's members
-// touches each cache line once instead of hashing per report.
+// Records live in a CSR-style sparse vector (sorted IDs, internal/sparse)
+// rather than a dense map: memory is O(nodes actually judged), a lookup
+// on the contiguous IDs a cluster holds is one probe at the dense offset,
+// Nodes/IsolatedNodes walk the entries already in ID order with no sort,
+// and a window-close feedback pass over a cluster's members touches each
+// cache line once instead of hashing per report. Each record carries its
+// trust index, recomputed whenever v changes, so a vote's weight read is
+// one load with no math.Exp.
 type Table struct {
 	params Params
-	recs   sparse.Vector[Record]
-	// tiCache memoizes exp(-λ·v) per distinct accumulator value; see
-	// trustOf.
-	tiCache map[float64]float64
+	recs   sparse.Vector[slot]
+}
+
+// slot is a record with its trust index trustOf(V) beside it. The index
+// is derived state: it is set when the record is created, judged or
+// restored, and never serialized.
+type slot struct {
+	Record
+	ti float64
 }
 
 var _ Weigher = (*Table)(nil)
-
-// tiCacheLimit bounds the memo so adversarial v trajectories cannot grow
-// it without bound; past the limit, lookups fall through to math.Exp.
-const tiCacheLimit = 4096
 
 // NewTable returns an empty trust table. It returns an error if the
 // parameters are invalid.
@@ -164,34 +168,6 @@ func NewTable(params Params) (*Table, error) {
 		return nil, err
 	}
 	return &Table{params: params}, nil
-}
-
-// trustOf is the table's memoized view of Params.trustOf. The §3 update
-// rule quantizes v onto sums of k·(1-f_r) − m·f_r floored at zero, so a
-// whole campaign revisits the same few hundred v values millions of times;
-// keying a map on the exact float collapses those math.Exp calls into
-// lookups. Linear mode is a multiply and skips the cache.
-//
-//hot:path
-func (t *Table) trustOf(v float64) float64 {
-	if t.params.Linear {
-		return t.params.trustOf(v)
-	}
-	if v < 0 {
-		v = 0
-	}
-	if ti, ok := t.tiCache[v]; ok {
-		return ti
-	}
-	ti := t.params.trustOf(v)
-	if t.tiCache == nil {
-		//lint:allow hotalloc lazy cache built once per table, then pure hits
-		t.tiCache = make(map[float64]float64)
-	}
-	if len(t.tiCache) < tiCacheLimit {
-		t.tiCache[v] = ti
-	}
-	return ti
 }
 
 // MustNewTable is NewTable for callers with compile-time-constant params.
@@ -209,21 +185,26 @@ func (t *Table) Params() Params { return t.params }
 // Name implements Weigher.
 func (t *Table) Name() string { return "tibfit" }
 
-// rec returns the node's record, creating a pristine one on first sight.
+// rec returns the node's slot, creating a pristine one on first sight.
 // New nodes start with v=0, i.e. full trust (§3). The pointer is only
 // valid until the next insertion.
 //
 //hot:path
-func (t *Table) rec(node int) *Record {
-	return t.recs.Upsert(node)
+func (t *Table) rec(node int) *slot {
+	n := t.recs.Len()
+	s := t.recs.Upsert(node)
+	if t.recs.Len() != n {
+		s.ti = t.params.trustOf(0)
+	}
+	return s
 }
 
 // TI returns the node's current trust index. Unknown nodes have TI 1.
 //
 //hot:path
 func (t *Table) TI(node int) float64 {
-	if r := t.recs.Find(node); r != nil {
-		return t.trustOf(r.V)
+	if s := t.recs.Find(node); s != nil {
+		return s.ti
 	}
 	return 1
 }
@@ -233,11 +214,11 @@ func (t *Table) TI(node int) float64 {
 //
 //hot:path
 func (t *Table) Weight(node int) float64 {
-	if r := t.recs.Find(node); r != nil {
-		if r.Isolated {
+	if s := t.recs.Find(node); s != nil {
+		if s.Isolated {
 			return 0
 		}
-		return t.trustOf(r.V)
+		return s.ti
 	}
 	return 1
 }
@@ -252,8 +233,8 @@ func (t *Table) V(node int) float64 {
 
 // Record returns a copy of the node's record and whether it exists.
 func (t *Table) Record(node int) (Record, bool) {
-	if r := t.recs.Find(node); r != nil {
-		return *r, true
+	if s := t.recs.Find(node); s != nil {
+		return s.Record, true
 	}
 	return Record{}, false
 }
@@ -286,7 +267,8 @@ func (t *Table) Judge(node int, correct bool) {
 			r.V += 1 - t.params.FaultRate
 		}
 	}
-	if t.params.RemovalThreshold > 0 && t.trustOf(r.V) <= t.params.RemovalThreshold {
+	r.ti = t.params.trustOf(r.V)
+	if t.params.RemovalThreshold > 0 && r.ti <= t.params.RemovalThreshold {
 		r.Isolated = true
 	}
 }
@@ -308,8 +290,8 @@ func (t *Table) Isolated(node int) bool {
 // store iterates in ID order, so no sort is needed.
 func (t *Table) IsolatedNodes() []int {
 	var out []int
-	t.recs.Scan(func(id int, r *Record) bool {
-		if r.Isolated {
+	t.recs.Scan(func(id int, s *slot) bool {
+		if s.Isolated {
 			out = append(out, id)
 		}
 		return true
@@ -336,8 +318,8 @@ func (t *Table) CTI(nodes []int) float64 {
 // copy.
 func (t *Table) Snapshot() map[int]Record {
 	out := make(map[int]Record, t.recs.Len())
-	t.recs.Scan(func(id int, r *Record) bool {
-		out[id] = *r
+	t.recs.Scan(func(id int, s *slot) bool {
+		out[id] = s.Record
 		return true
 	})
 	return out
@@ -356,7 +338,8 @@ func (t *Table) Restore(snap map[int]Record) {
 	}
 	sort.Ints(ids)
 	for _, id := range ids {
-		*t.recs.Upsert(id) = snap[id]
+		r := snap[id]
+		*t.recs.Upsert(id) = slot{Record: r, ti: t.params.trustOf(r.V)}
 	}
 }
 

@@ -30,7 +30,7 @@ func init() {
 // tableScheme is the canonical TIBFIT scheme (§3): a core.Table carries
 // the exponential trust state, core.DecideBinary arbitrates by CTI. The
 // table is embedded, not wrapped, so the hot Weight/Judge paths (and the
-// table's memoized exp(-λ·v) cache) are exactly the pre-registry code.
+// trust index each record carries) are exactly the pre-registry code.
 // The "linear" registration is the same engine with the §3 linear-penalty
 // ablation forced on.
 type tableScheme struct {

@@ -11,9 +11,10 @@ import (
 // backoff schedules every report twice, and the concurrent circle
 // protocol. Report records are recycled and timers are values, so a
 // report in flight allocates nothing; what remains is per-event and
-// per-round work plus the run's set-up, about 1.4 objects per report on
-// this run. One closure per report (to back off, or to deliver) would put
-// it above two.
+// per-round work plus the run's set-up, about 1.17 objects per report on
+// this run (the MAC jitter streams share one slab). One closure per
+// report (to back off, or to deliver) would put it above two, and one
+// heap-built stream per event above 1.25.
 func TestExp2ReportPathAllocs(t *testing.T) {
 	cfg := DefaultExp2()
 	cfg.Events = 200
@@ -32,7 +33,7 @@ func TestExp2ReportPathAllocs(t *testing.T) {
 	if reports < 1000 {
 		t.Fatalf("only %d reports sent; the bound needs a busier run", reports)
 	}
-	if allocs >= 2*float64(reports) {
-		t.Fatalf("exp2 allocates %.0f objects for %d reports, want fewer than two per report", allocs, reports)
+	if allocs >= 1.25*float64(reports) {
+		t.Fatalf("exp2 allocates %.0f objects for %d reports, want fewer than 1.25 per report", allocs, reports)
 	}
 }

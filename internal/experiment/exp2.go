@@ -208,6 +208,12 @@ func runExp2Once(cfg Exp2Config, seed int64) (Exp2Result, error) {
 	}
 
 	trustTrace := make(map[int][]float64, len(cfg.TrackTrust))
+	// Under the MAC model each event's neighbours draw their backoff from
+	// the event's own stream, seeded from the run's root in one slab.
+	var jitters []rng.Source
+	if cfg.MACCollisionWindow > 0 {
+		jitters = make([]rng.Source, cfg.Events)
+	}
 	eventIndex := 0
 	for b := 0; b < batches && eventIndex < cfg.Events; b++ {
 		batch := gen.Batch(b)
@@ -244,8 +250,9 @@ func runExp2Once(cfg Exp2Config, seed int64) (Exp2Result, error) {
 			run.expect(ev)
 			eventIndex++
 			var jitter *rng.Source
-			if cfg.MACCollisionWindow > 0 {
-				jitter = run.root.Split(fmt.Sprintf("jitter-%d", ev.ID))
+			if jitters != nil {
+				jitter = &jitters[idx]
+				run.root.SplitInto(jitter, "jitter-", ev.ID)
 			}
 			if _, err := kernel.At(sim.Time(ev.Time), func() {
 				if cfg.Decay != nil {

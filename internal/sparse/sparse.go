@@ -1,6 +1,9 @@
 // Package sparse provides CSR-style sparse vectors — parallel slices of
-// sorted integer IDs and values, looked up by binary search — modeled on
-// the entry vectors of go-eigentrust's pkg/sparse.
+// sorted integer IDs and values — modeled on the entry vectors of
+// go-eigentrust's pkg/sparse. A lookup first probes the dense offset
+// id - ids[0], so on the contiguous IDs the simulator hands out it is one
+// indexed load; a gapped ID set falls back to a binary search capped at
+// that offset (Search).
 //
 // The trust tables (core.Table, the station's CH-trust ledger) use these
 // in place of dense maps so that memory is O(live entries), iteration is
@@ -23,22 +26,37 @@ type Vector[V any] struct {
 // Len returns the number of live entries.
 func (v *Vector[V]) Len() int { return len(v.ids) }
 
-// search returns the insertion position of id in the sorted ID slice.
+// Search returns the position of id in ids, which must hold strictly
+// ascending integers, and whether it is there; when absent the position
+// is where id would be inserted (sort.SearchInts's answer). Strict
+// integer ascent means ids[g] >= ids[0]+g, so the dense offset
+// g = id - ids[0] either holds id itself — one load on a contiguous ID
+// set — or caps the bisection from above. An id below ids[0] makes g
+// negative, and the unsigned compare sends it to the full bisection.
+//
+// The bisection is sort.SearchInts inlined, so the comparison is a
+// machine int compare with no func value; the whole body stays within
+// the compiler's inlining budget.
 //
 //hot:path
-func (v *Vector[V]) search(id int) int {
-	// Inlined sort.SearchInts: the comparison is a machine int compare,
-	// and the explicit loop keeps the hot lookup free of func values.
-	lo, hi := 0, len(v.ids)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if v.ids[mid] < id {
-			lo = mid + 1
-		} else {
-			hi = mid
+func Search(ids []int, id int) (i int, ok bool) {
+	n := len(ids)
+	if n > 0 {
+		if g := id - ids[0]; uint(g) < uint(n) {
+			if ids[g] == id {
+				return g, true
+			}
+			n = g
 		}
 	}
-	return lo
+	for i < n {
+		if mid := int(uint(i+n) >> 1); ids[mid] < id {
+			i = mid + 1
+		} else {
+			n = mid
+		}
+	}
+	return i, i < len(ids) && ids[i] == id
 }
 
 // Find returns a pointer to the value stored for id, or nil when absent.
@@ -46,8 +64,7 @@ func (v *Vector[V]) search(id int) int {
 //
 //hot:path
 func (v *Vector[V]) Find(id int) *V {
-	i := v.search(id)
-	if i < len(v.ids) && v.ids[i] == id {
+	if i, ok := Search(v.ids, id); ok {
 		return &v.vals[i]
 	}
 	return nil
@@ -60,8 +77,7 @@ func (v *Vector[V]) Find(id int) *V {
 //
 //hot:path
 func (v *Vector[V]) Get(id int) (V, bool) {
-	i := v.search(id)
-	if i < len(v.ids) && v.ids[i] == id {
+	if i, ok := Search(v.ids, id); ok {
 		return v.vals[i], true
 	}
 	var zero V
@@ -81,8 +97,8 @@ func (v *Vector[V]) Upsert(id int) *V {
 		v.vals = append(v.vals, zero)
 		return &v.vals[len(v.vals)-1]
 	}
-	i := v.search(id)
-	if i < len(v.ids) && v.ids[i] == id {
+	i, ok := Search(v.ids, id)
+	if ok {
 		return &v.vals[i]
 	}
 	var zero V
